@@ -265,6 +265,8 @@ def _parse_rational(text: str) -> Fraction:
     """Parse ``p`` or ``p/q`` with optional sign; reject anything else."""
     if not text:
         raise ValueError("empty rational")
+    if not text.isascii():  # isdigit and int also accept other scripts' digits
+        raise ValueError(f"invalid rational {text!r}")
     num, slash, den = text.partition("/")
     body = num[1:] if num[:1] in "+-" else num
     if not body.isdigit():

@@ -17,6 +17,7 @@ from typing import Optional
 from . import genus4, plotting
 from .chern import (
     ChernCharacter,
+    _parse_rational,
     euler_pairing,
     format_chern,
     from_resolution,
@@ -44,9 +45,9 @@ def _chern_arg(text: str) -> ChernCharacter:
 
 def _rational_arg(text: str) -> Fraction:
     try:
-        return Fraction(text)
-    except (ValueError, ZeroDivisionError) as exc:
-        raise argparse.ArgumentTypeError(f"invalid rational {text!r}: {exc}")
+        return _parse_rational(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid rational {text!r} (expected p or p/q)")
 
 
 def _resolution_term(text: str) -> tuple[int, int]:

@@ -145,8 +145,10 @@ def line_plane_refinements() -> list[Refinement]:
         planar_pts = planar_point_count(5, planar_ch.e)
         if planar_pts < 0:
             break
-        assert line_ch.is_integral() and planar_ch.is_integral()
-        assert line_pts == k and planar_pts.denominator == 1
+        if not (line_ch.is_integral() and planar_ch.is_integral()):
+            raise ArithmeticError(f"refinement {k} is not integral: {line_ch}, {planar_ch}")
+        if line_pts != k or planar_pts.denominator != 1:
+            raise ArithmeticError(f"refinement {k} has point counts {line_pts}, {planar_pts}")
         out.append(Refinement(line_ch, planar_ch, int(line_pts), int(planar_pts)))
         k += 1
     return sorted(out, key=lambda ref: ref.line_ch.e)
@@ -212,7 +214,8 @@ def euler_table() -> dict[tuple[str, str], int]:
     for a_name, a in named.items():
         for b_name, b in named.items():
             value = euler_pairing(a, b)
-            assert value.denominator == 1
+            if value.denominator != 1:
+                raise ArithmeticError(f"chi({a_name}, {b_name}) = {value} is not an integer")
             table[(a_name, b_name)] = int(value)
     return table
 
@@ -232,7 +235,8 @@ def ext_table(stratum: Stratum) -> dict[tuple[str, str], ExtProfile]:
 
     def forced_ext2(key: tuple[str, str], hom: int, ext1: int, ext3: int) -> int:
         value = chi[key] - hom + ext1 + ext3
-        assert value >= 0
+        if value < 0:
+            raise ArithmeticError(f"forced ext2{key} = {value} is negative")
         return value
 
     table = {
@@ -323,7 +327,8 @@ class LedgerEntry:
 def _h0(twist: int) -> int:
     """Sections of a line bundle on projective 3-space, via the Euler pairing."""
     value = euler_pairing(line_bundle_ch(0), line_bundle_ch(twist))
-    assert value.denominator == 1
+    if value.denominator != 1:
+        raise ArithmeticError(f"h0(O({twist})) = {value} is not an integer")
     return int(value)
 
 
@@ -340,7 +345,8 @@ def exceptional_ledger() -> list[LedgerEntry]:
     cubics_on_quadric = _h0(3) - _h0(1)
     first = proj_bundle_dim(quadrics, cubics_on_quadric)
     chi_vv = euler_pairing(canonical_class(), canonical_class())
-    assert chi_vv.denominator == 1
+    if chi_vv.denominator != 1:
+        raise ArithmeticError(f"chi(v, v) = {chi_vv} is not an integer")
     smooth_moduli = 1 - int(chi_vv)
     conics = 3 + (6 - 1)  # plane choice + conics within the plane
     center = conics + 3

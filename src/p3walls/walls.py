@@ -16,7 +16,8 @@ destabilizing pair survives every numerical test:
 * ``{w, v - w}`` both have nonnegative discriminant and both are primitive
   in the truncation lattice;
 * the pair is admissible at the top of the circle (both charge imaginary
-  parts strictly between 0 and that of ``v``);
+  parts strictly between 0 and that of ``v``); scaled by ``2 |k1|`` this is
+  an integer sign test, decided before any rational is built;
 * the circle meets the region;
 * the quadratic form of :func:`p3walls.stability.bmt_form` is nonnegative
   somewhere on the circle.  Restricted to any slope-equality circle of ``v``
@@ -357,9 +358,15 @@ def _candidate_from_ints(
     k1 = ctx.rv * c - r * ctx.cv
     if k1 == 0:
         return None  # vertical or everywhere: not a circle wall
+    K2 = ctx.rv * D - r * ctx.Dv  # twice k2
+    # Admissibility at the top beta = K2 / (2 k1), scaled by 2 |k1| > 0:
+    # 0 < c - beta r < c_v - beta r_v as an integer sign test.
+    s = 1 if k1 > 0 else -1
+    im_w = s * (2 * k1 * c - K2 * r)
+    if im_w <= 0 or im_w >= s * (2 * k1 * ctx.cv - K2 * ctx.rv):
+        return None
     if c * c - r * D < 0 or cu * cu - ru * Du < 0:
         return None  # a member would violate the discriminant inequality
-    K2 = ctx.rv * D - r * ctx.Dv  # twice k2
     K3 = ctx.cv * D - c * ctx.Dv  # twice k3
     quarter = K2 * K2 - 4 * k1 * K3  # (2 k1 rho)^2
     if quarter <= 0:
@@ -369,12 +376,13 @@ def _candidate_from_ints(
     if math.gcd(ru, cu, (Du - cu) // 2) != 1:
         return None
     circle = Circle(Fraction(K2, 2 * k1), Fraction(quarter, 4 * k1 * k1))
-    w_tr = ChernTruncation(r, c, Fraction(D, 2))
-    if not wall_admissible(w_tr, ctx.v_tr, TiltPoint(circle.center, circle.radius_sq)):
-        return None
     if not circle_meets_region(circle, ctx.region):
         return None
     if not _bmt_reaches_nonnegative(ctx, circle):
+        return None
+    w_tr = ChernTruncation(r, c, Fraction(D, 2))
+    # Exact confirmation of the integer test above, on the surviving triple.
+    if not wall_admissible(w_tr, ctx.v_tr, TiltPoint(circle.center, circle.radius_sq)):
         return None
     u_tr = ChernTruncation(ru, cu, Fraction(Du, 2))
     sub, quotient = _orient_pair(w_tr, u_tr)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+import time
 
 import pytest
 
@@ -151,6 +152,24 @@ def test_help_exits_zero(capsys):
 def test_bad_region_rational_is_usage_error(capsys, flag):
     code, _, err = invoke(capsys, "walls", "--v", "1,0,-6,15", flag, "abc")
     assert code == 2 and "invalid rational" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("hyperbola", "--v", "1,0,-6,15", "--beta=1e2000000"),
+        ("bmt", "--v", "1,0,-6,15", "--beta=-4", "--alpha2", "1e3"),
+        ("chern", "twist", "--ch", "1,0,-6,15", "--beta=0.5"),
+        ("chern", "twist", "--ch", "1,0,-6,15", "--beta=\u0661\u0662"),
+    ],
+    ids=["huge-exponent", "exponent", "decimal", "non-ascii-digits"],
+)
+def test_rationals_outside_p_over_q_are_usage_errors(capsys, argv):
+    start = time.perf_counter()
+    code, out, err = invoke(capsys, *argv)
+    elapsed = time.perf_counter() - start
+    assert code == 2 and out == "" and "invalid rational" in err
+    assert elapsed < 0.1
 
 
 def test_plot_writes_deterministic_svg(tmp_path, capsys):

@@ -75,6 +75,12 @@ def test_euler_table():
     assert table[(L, P)] == 0
 
 
+def test_euler_table_rejects_non_integral_pairing(monkeypatch):
+    monkeypatch.setattr(genus4, "euler_pairing", lambda a, b: Fraction(1, 2))
+    with pytest.raises(ArithmeticError, match="not an integer"):
+        genus4.euler_table()
+
+
 def test_ext_tables_match_euler_pairings():
     L, P = genus4.LINE_FACTOR, genus4.PLANAR_FACTOR
     for stratum in genus4.Stratum:

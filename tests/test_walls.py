@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import math
 from fractions import Fraction
+from typing import Optional
 
 import pytest
 from hypothesis import HealthCheck, assume, given, settings
@@ -13,6 +15,7 @@ from p3walls.chern import (
     line_bundle_ch,
 )
 from p3walls.stability import TiltPoint, bmt_form, nu, wall_admissible
+from p3walls import walls as walls_module
 from p3walls.walls import (
     Circle,
     Empty,
@@ -232,12 +235,79 @@ def test_unbounded_search_raises():
         ChernCharacter(1, 0, -1, 1),
         ChernCharacter(1, 0, 0, 0),
         ChernCharacter(2, 0, -2, 2),
+        ChernCharacter(2, -1, Fraction(-5, 2), Fraction(29, 6)),
+        ChernCharacter(3, -2, -1, Fraction(8, 3)),
+        ChernCharacter(1, -3, Fraction(-3, 2), Fraction(57, 2)),  # V twisted by 3
     ],
     ids=str,
 )
 def test_oracle_equivalence(total):
     bounds = SearchBounds(5, 20, 100)
     assert enumerate_tilt_walls(total, REGION) == brute_force_walls(total, REGION, bounds)
+
+
+def _reference_candidate(
+    ctx: walls_module._WallContext, r: int, c: int, D: int
+) -> Optional[walls_module.WallCandidate]:
+    """The wall predicate as it stood before the integer admissibility test:
+    admissibility is checked on Fractions, ahead of the region test."""
+    if (D - c) % 2:
+        return None
+    ru, cu, Du = ctx.rv - r, ctx.cv - c, ctx.Dv - D
+    if (r, c, D) == (0, 0, 0) or (ru, cu, Du) == (0, 0, 0):
+        return None
+    k1 = ctx.rv * c - r * ctx.cv
+    if k1 == 0:
+        return None
+    if c * c - r * D < 0 or cu * cu - ru * Du < 0:
+        return None
+    K2 = ctx.rv * D - r * ctx.Dv
+    K3 = ctx.cv * D - c * ctx.Dv
+    quarter = K2 * K2 - 4 * k1 * K3
+    if quarter <= 0:
+        return None
+    if math.gcd(r, c, (D - c) // 2) != 1:
+        return None
+    if math.gcd(ru, cu, (Du - cu) // 2) != 1:
+        return None
+    circle = Circle(Fraction(K2, 2 * k1), Fraction(quarter, 4 * k1 * k1))
+    w_tr = ChernTruncation(r, c, Fraction(D, 2))
+    if not wall_admissible(w_tr, ctx.v_tr, TiltPoint(circle.center, circle.radius_sq)):
+        return None
+    if not circle_meets_region(circle, ctx.region):
+        return None
+    if not walls_module._bmt_reaches_nonnegative(ctx, circle):
+        return None
+    u_tr = ChernTruncation(ru, cu, Fraction(Du, 2))
+    sub, quotient = walls_module._orient_pair(w_tr, u_tr)
+    return walls_module.WallCandidate(circle, sub, quotient)
+
+
+DIFFERENTIAL_TOTALS = [
+    ChernCharacter(-3, 4, 1, 0),
+    ChernCharacter(-2, 3, Fraction(5, 2), 0),
+    ChernCharacter(-1, 2, 4, 0),
+    ChernCharacter(0, 1, Fraction(-1, 2), Fraction(1, 6)),
+    ChernCharacter(0, 2, -3, 1),
+    ChernCharacter(1, 0, -6, 0),
+    ChernCharacter(1, 0, -6, 15),
+    ChernCharacter(2, -1, Fraction(-5, 2), Fraction(29, 6)),
+    ChernCharacter(3, -2, -1, Fraction(8, 3)),
+]
+
+
+@pytest.mark.parametrize("total", DIFFERENTIAL_TOTALS, ids=str)
+def test_predicate_matches_fraction_reference(total):
+    bounds = SearchBounds(3, 8, 24)
+    ctx = walls_module._WallContext(total, REGION)
+    kept = 0
+    for r in range(-bounds.r_max, bounds.r_max + 1):
+        for c in range(-bounds.c_max, bounds.c_max + 1):
+            for D in range(-bounds.two_d_max, bounds.two_d_max + 1):
+                expected = _reference_candidate(ctx, r, c, D)
+                assert walls_module._candidate_from_ints(ctx, r, c, D) == expected, (r, c, D)
+                kept += expected is not None
+    assert kept > 0
 
 
 def test_wall_to_dict():
