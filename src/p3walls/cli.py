@@ -9,6 +9,7 @@ always carries ``"schema": "p3walls/1"``.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from fractions import Fraction
@@ -154,7 +155,12 @@ def _cmd_plot(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process and reused by :func:`run`.
+
+    Parsing keeps no state in the parser: every call fills a fresh namespace.
+    """
     parser = argparse.ArgumentParser(
         prog="p3walls",
         description="exact wall-and-chamber computations on projective 3-space",

@@ -27,6 +27,7 @@ them exactly.
 from __future__ import annotations
 
 import enum
+import functools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
@@ -49,11 +50,13 @@ PLANAR_FACTOR = "planar_sheaf"
 DEFAULT_REGION = Region(-12, 0, 64)
 
 
+@functools.lru_cache(maxsize=None)
 def canonical_class() -> ChernCharacter:
     """The total class ``(1, 0, -6, 15)``, built from its Koszul-type resolution.
 
     A complete intersection of a quadric and a cubic has ideal sheaf resolved
-    by ``0 -> O(-5) -> O(-2) + O(-3) -> I -> 0``.
+    by ``0 -> O(-5) -> O(-2) + O(-3) -> I -> 0``.  The character is immutable,
+    so it is built once per process.
     """
     return from_resolution([(-2, 1), (-3, 1), (-5, -1)])
 
@@ -223,34 +226,29 @@ def euler_table() -> dict[tuple[str, str], int]:
 def ext_table(stratum: Stratum) -> dict[tuple[str, str], ExtProfile]:
     """Ext dimension table for one incidence stratum.
 
-    Diagonal ``ext1`` values are the recorded moduli dimensions (lines have
-    a 4-parameter family; a plane plus a length-two planar subscheme has
-    ``3 + 4 = 7``).  The remaining complete entries are forced from the
-    recorded assumptions by the computed Euler pairings.  The
-    ``(line, planar)`` entry keeps ``ext2`` and ``ext3`` undetermined: only
-    ``ext2 - ext3`` is pinned, see :func:`validate_ext_table`.
+    Every ``hom``, ``ext3`` and ``ext1`` entry except the stratum-dependent
+    one is read from :data:`EXT_ASSUMPTIONS`, the only place the recorded
+    dimensions live (lines have a 4-parameter family; a plane plus a
+    length-two planar subscheme has ``3 + 4 = 7``).  Each complete entry's
+    ``ext2`` is then forced by the computed Euler pairing.  The
+    ``(line, planar)`` entry has the incidence defect as ``ext1`` and keeps
+    ``ext2`` and ``ext3`` undetermined: only ``ext2 - ext3`` is pinned, see
+    :func:`validate_ext_table`.
     """
     chi = euler_table()
-    defect = stratum.incidence_defect
-
-    def forced_ext2(key: tuple[str, str], hom: int, ext1: int, ext3: int) -> int:
-        value = chi[key] - hom + ext1 + ext3
-        if value < 0:
-            raise ArithmeticError(f"forced ext2{key} = {value} is negative")
-        return value
-
-    table = {
-        (LINE_FACTOR, LINE_FACTOR): ExtProfile(
-            1, 4, forced_ext2((LINE_FACTOR, LINE_FACTOR), 1, 4, 0), 0
-        ),
-        (PLANAR_FACTOR, PLANAR_FACTOR): ExtProfile(
-            1, 7, forced_ext2((PLANAR_FACTOR, PLANAR_FACTOR), 1, 7, 0), 0
-        ),
-        (PLANAR_FACTOR, LINE_FACTOR): ExtProfile(
-            0, 18, forced_ext2((PLANAR_FACTOR, LINE_FACTOR), 0, 18, 0), 0
-        ),
-        (LINE_FACTOR, PLANAR_FACTOR): ExtProfile(0, defect, None, None),
-    }
+    recorded = {(a, b, group): dim for a, b, group, dim in EXT_ASSUMPTIONS}
+    table = {}
+    for key in ((LINE_FACTOR, LINE_FACTOR), (PLANAR_FACTOR, PLANAR_FACTOR),
+                (PLANAR_FACTOR, LINE_FACTOR)):
+        hom, ext1, ext3 = (recorded[(*key, group)] for group in ("hom", "ext1", "ext3"))
+        ext2 = chi[key] - hom + ext1 + ext3
+        if ext2 < 0:
+            raise ArithmeticError(f"forced ext2{key} = {ext2} is negative")
+        table[key] = ExtProfile(hom, ext1, ext2, ext3)
+    line_planar = (LINE_FACTOR, PLANAR_FACTOR)
+    table[line_planar] = ExtProfile(
+        recorded[(*line_planar, "hom")], stratum.incidence_defect, None, None
+    )
     return table
 
 
@@ -437,11 +435,13 @@ def narrative() -> list[dict]:
 
     Dimension arithmetic distinguishes a divisorial contraction from a small
     one; the failure of Q-factoriality is a recorded input that the numbers
-    are consistent with but do not prove.
+    are consistent with but do not prove.  The dimensions are read from
+    :func:`exceptional_ledger`.
     """
-    moduli = 24
-    exceptional = 23
-    small_locus = 8
+    dims = {entry.name: entry.value for entry in exceptional_ledger()}
+    moduli = dims["wall_side_moduli_dim"]
+    exceptional = dims["exceptional_divisor_dim"]
+    small_locus = dims["small_locus_dim"]
     return [
         {
             "statement": "divisorial contraction (ψ)",
@@ -481,126 +481,87 @@ def cohomology_consistency() -> dict:
     }
 
 
-def report(fmt: str = "text") -> str:
-    """Full numerical report, as human-readable text or deterministic JSON."""
-    total = canonical_class()
-    walls = canonical_walls()
-    pairs = destabilizing_pairs()
-    refinements = line_plane_refinements()
-    chi = euler_table()
+def _report_data() -> dict:
+    """Every section of the report, computed once, as a JSON-ready mapping."""
+    pairs = {r: [str(sub), str(quot)] for r, (sub, quot) in destabilizing_pairs().items()}
     tables = {s.value: ext_table(s) for s in Stratum}
-    validations = {s.value: validate_ext_table(tables[s.value]) for s in Stratum}
-    ledger = exceptional_ledger()
-    story = narrative()
-    consistency = cohomology_consistency()
+    return {
+        "schema": "p3walls/1",
+        "class": str(canonical_class()),
+        "walls": [
+            {**wall_to_dict(w), "full_pair": pairs.get(w.circle.radius_sq)}
+            for w in canonical_walls()
+        ],
+        "refinements": [
+            {"line": str(ref.line_ch), "planar": str(ref.planar_ch),
+             "line_points": ref.line_points, "planar_points": ref.planar_points}
+            for ref in line_plane_refinements()
+        ],
+        "euler_table": {f"{a}|{b}": value for (a, b), value in euler_table().items()},
+        "ext_tables": {
+            name: {f"{a}|{b}": vars(profile) for (a, b), profile in table.items()}
+            for name, table in tables.items()
+        },
+        "ext_assumptions": [
+            {"pair": [a, b], "group": group, "dim": dim} for a, b, group, dim in EXT_ASSUMPTIONS
+        ],
+        "ext_validations": {name: validate_ext_table(table) for name, table in tables.items()},
+        "ledger": [vars(entry) for entry in exceptional_ledger()],
+        "narrative": narrative(),
+        "consistency": cohomology_consistency(),
+    }
 
-    if fmt == "json":
-        payload = {
-            "schema": "p3walls/1",
-            "class": str(total),
-            "walls": [
-                {
-                    **wall_to_dict(w),
-                    "full_pair": (
-                        [str(pairs[w.circle.radius_sq][0]), str(pairs[w.circle.radius_sq][1])]
-                        if w.circle.radius_sq in pairs
-                        else None
-                    ),
-                }
-                for w in walls
-            ],
-            "refinements": [
-                {
-                    "line": str(ref.line_ch),
-                    "planar": str(ref.planar_ch),
-                    "line_points": ref.line_points,
-                    "planar_points": ref.planar_points,
-                }
-                for ref in refinements
-            ],
-            "euler_table": {f"{a}|{b}": value for (a, b), value in chi.items()},
-            "ext_tables": {
-                name: {
-                    f"{a}|{b}": {
-                        "hom": profile.hom,
-                        "ext1": profile.ext1,
-                        "ext2": profile.ext2,
-                        "ext3": profile.ext3,
-                    }
-                    for (a, b), profile in table.items()
-                }
-                for name, table in tables.items()
-            },
-            "ext_assumptions": [
-                {"pair": [a, b], "group": group, "dim": dim}
-                for a, b, group, dim in EXT_ASSUMPTIONS
-            ],
-            "ext_validations": validations,
-            "ledger": [
-                {"name": en.name, "value": en.value, "how": en.how, "note": en.note}
-                for en in ledger
-            ],
-            "narrative": story,
-            "consistency": consistency,
-        }
-        return json.dumps(payload, indent=2, sort_keys=True)
 
-    if fmt != "text":
-        raise ValueError(f"unknown report format: {fmt!r}")
-
-    lines = []
-    lines.append(f"total class: {total}")
-    lines.append(f"region: beta in [{DEFAULT_REGION.beta_min}, {DEFAULT_REGION.beta_max}],"
-                 f" alpha^2 <= {DEFAULT_REGION.alpha_sq_max}")
-    lines.append("")
-    lines.append(f"walls ({len(walls)}, outermost first):")
-    for w in walls:
-        line = (f"  center {w.circle.center}, radius^2 {w.circle.radius_sq}:"
-                f" pair {w.sub} / {w.quotient}")
-        if w.circle.radius_sq in pairs:
-            full = pairs[w.circle.radius_sq]
-            line += f"  [full: {full[0]} / {full[1]}]"
+def _render_text(data: dict) -> str:
+    """Human-readable rendering of the mapping built by :func:`_report_data`."""
+    region = DEFAULT_REGION
+    lines = [
+        f"total class: {data['class']}",
+        f"region: beta in [{region.beta_min}, {region.beta_max}],"
+        f" alpha^2 <= {region.alpha_sq_max}",
+        "",
+        f"walls ({len(data['walls'])}, outermost first):",
+    ]
+    for wall in data["walls"]:
+        line = "  center {center}, radius^2 {radius_sq}: pair {sub} / {quotient}".format(**wall)
+        if wall["full_pair"]:
+            line += "  [full: {} / {}]".format(*wall["full_pair"])
         lines.append(line)
-    lines.append("")
-    lines.append("integral refinements on the 73/4 wall:")
-    for ref in refinements:
-        lines.append(
-            f"  line {ref.line_ch} ({ref.line_points} pts)"
-            f" + planar {ref.planar_ch} ({ref.planar_points} pts)"
-        )
-    lines.append("")
-    lines.append("euler pairings:")
-    for (a, b), value in sorted(chi.items()):
-        lines.append(f"  chi({a}, {b}) = {value}")
-    lines.append("")
-    lines.append("ext tables by incidence stratum (hom, ext1, ext2, ext3):")
-    for stratum in Stratum:
-        lines.append(f"  {stratum.value}:")
-        for (a, b), profile in ext_table(stratum).items():
-            e2 = "?" if profile.ext2 is None else profile.ext2
-            e3 = "?" if profile.ext3 is None else profile.ext3
-            lines.append(f"    ({a}, {b}): {profile.hom}, {profile.ext1}, {e2}, {e3}")
-        for check in validate_ext_table(ext_table(stratum)):
-            if check["kind"] == "inferred_relation":
-                lines.append(f"    inferred for ({check['pair'][0]}, {check['pair'][1]}):"
-                             f" {check['relation']}")
-    lines.append("")
-    lines.append("declared ext assumptions (recorded):")
-    for a, b, group, dim in EXT_ASSUMPTIONS:
-        lines.append(f"  {group}({a}, {b}) = {dim}")
-    lines.append("")
-    lines.append("dimension ledger:")
-    for entry in ledger:
-        lines.append(f"  {entry.name} = {entry.value}  [{entry.how}]  ({entry.note})")
-    lines.append("")
-    lines.append("conclusions:")
-    for item in story:
-        lines.append(f"  {item['statement']}  [{item['status']}]  ({item['note']})")
-    lines.append("")
-    check = consistency
-    lines.append(
-        "consistency: "
-        f"{check['genus6_class']} - {check['point_correction']} = {check['result']}"
-        f" matches total: {check['matches_total']}"
-    )
+    lines += ["", "integral refinements on the 73/4 wall:"]
+    lines += ["  line {line} ({line_points} pts) + planar {planar} ({planar_points} pts)"
+              .format(**ref) for ref in data["refinements"]]
+    lines += ["", "euler pairings:"]
+    lines += ["  chi({}, {}) = {}".format(*key.split("|"), value)
+              for key, value in sorted(data["euler_table"].items())]
+    lines += ["", "ext tables by incidence stratum (hom, ext1, ext2, ext3):"]
+    for name, table in data["ext_tables"].items():
+        lines.append(f"  {name}:")
+        for key, dims in table.items():
+            shown = ", ".join("?" if dim is None else str(dim) for dim in dims.values())
+            lines.append("    ({}, {}): {}".format(*key.split("|"), shown))
+        lines += ["    inferred for ({}, {}): {}".format(*check["pair"], check["relation"])
+                  for check in data["ext_validations"][name]
+                  if check["kind"] == "inferred_relation"]
+    lines += ["", "declared ext assumptions (recorded):"]
+    lines += ["  {}({}, {}) = {}".format(item["group"], *item["pair"], item["dim"])
+              for item in data["ext_assumptions"]]
+    lines += ["", "dimension ledger:"]
+    lines += ["  {name} = {value}  [{how}]  ({note})".format(**entry) for entry in data["ledger"]]
+    lines += ["", "conclusions:"]
+    lines += ["  {statement}  [{status}]  ({note})".format(**item) for item in data["narrative"]]
+    lines += ["", "consistency: {genus6_class} - {point_correction} = {result}"
+              " matches total: {matches_total}".format(**data["consistency"])]
     return "\n".join(lines)
+
+
+def report(fmt: str = "text") -> str:
+    """Full numerical report, as human-readable text or deterministic JSON.
+
+    Both formats render the same mapping, built once by :func:`_report_data`.
+    """
+    if fmt not in ("text", "json"):
+        raise ValueError(f"unknown report format: {fmt!r}")
+    data = _report_data()
+    if fmt == "json":
+        return json.dumps(data, indent=2, sort_keys=True)
+    return _render_text(data)

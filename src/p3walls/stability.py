@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Union
 
-from .chern import ChernCharacter, ChernTruncation, RationalInput, _rat
+from .chern import ChernCharacter, ChernTruncation, RationalInput, _parse_rational, _rat
 
 TruncationLike = Union[ChernCharacter, ChernTruncation]
 
@@ -86,9 +86,9 @@ class TiltPoint:
     def from_string(cls, text: str) -> "TiltPoint":
         try:
             beta_part, alpha_part = text.split(",")
-            beta = Fraction(beta_part.removeprefix("beta="))
-            alpha_sq = Fraction(alpha_part.removeprefix("alpha2="))
-        except (ValueError, TypeError):
+            beta = _parse_rational(beta_part.removeprefix("beta="))
+            alpha_sq = _parse_rational(alpha_part.removeprefix("alpha2="))
+        except ValueError:
             raise ValueError(f"expected 'beta=<rational>,alpha2=<rational>', got {text!r}") from None
         return cls(beta, alpha_sq)
 

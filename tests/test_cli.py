@@ -2,10 +2,13 @@ from __future__ import annotations
 
 import json
 import time
+from pathlib import Path
 
 import pytest
 
-from p3walls.cli import run
+from p3walls.cli import build_parser, run
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def invoke(capsys, *argv: str) -> tuple[int, str, str]:
@@ -127,6 +130,17 @@ def test_genus4_json(capsys):
     assert code == 0 and payload["schema"] == "p3walls/1"
 
 
+@pytest.mark.parametrize(
+    "argv, name",
+    [((), "genus4_report.txt"), (("--format", "json"), "genus4_report.json")],
+    ids=["text", "json"],
+)
+def test_genus4_matches_golden(capsys, argv, name):
+    code, out, err = invoke(capsys, "genus4", *argv)
+    assert (code, err) == (0, "")
+    assert out.encode("utf-8") == (GOLDEN / name).read_bytes()
+
+
 def test_malformed_character_is_usage_error(capsys):
     code, out, err = invoke(capsys, "walls", "--v", "1,0,x,15")
     assert code == 2 and out == ""
@@ -181,6 +195,36 @@ def test_plot_writes_deterministic_svg(tmp_path, capsys):
     assert code == 0
     assert first.read_bytes() == second.read_bytes()
     assert first.read_bytes().startswith(b'<?xml version="1.0"')
+
+
+def test_parser_is_built_once_per_process():
+    assert build_parser() is build_parser()
+
+
+def test_reused_parser_keeps_no_appended_terms(capsys):
+    code, out, _ = invoke(capsys, "chern", "resolve", "--term=-2:1", "--term=-3:1")
+    assert (code, out.strip()) == (0, "2,-5,13/2,-35/6")
+    code, out, _ = invoke(capsys, "chern", "resolve", "--term=-5:-1")
+    assert (code, out.strip()) == (0, "-1,5,-25/2,125/6")
+
+
+def test_reused_parser_drops_previous_s(tmp_path, capsys):
+    with_s = tmp_path / "with_s.svg"
+    without_s = tmp_path / "without_s.svg"
+    code, _, _ = invoke(capsys, "plot", "--v", "1,0,-6,15", "--s=1/2", "--out", str(with_s))
+    assert code == 0 and b"s = 1/2" in with_s.read_bytes()
+    code, _, _ = invoke(capsys, "plot", "--v", "1,0,-6,15", "--out", str(without_s))
+    assert code == 0
+    assert without_s.read_bytes() == (GOLDEN / "sextic_genus4_walls.svg").read_bytes()
+
+
+def test_reused_parser_recovers_after_usage_error(capsys):
+    code, out, _ = invoke(capsys, "walls", "--v", "1,0,-6,15", "--format", "yaml")
+    assert code == 2 and out == ""
+    code, out, err = invoke(capsys, "walls", "--v", "1,0,-6,15")
+    assert code == 0 and err == ""
+    assert len(out.splitlines()) == 5
+    assert out.splitlines()[4].split() == ["-4", "4", "1,-2,2", "0,2,-8"]
 
 
 def test_plot_unwritable_path_is_domain_error(tmp_path, capsys):

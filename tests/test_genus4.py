@@ -1,13 +1,17 @@
 from __future__ import annotations
 
+import dataclasses
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from p3walls import genus4
 from p3walls.chern import ChernCharacter, curve_ideal_ch, euler_pairing
 from p3walls.walls import Circle
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def test_canonical_class():
@@ -98,6 +102,24 @@ def test_ext_tables_match_euler_pairings():
         assert relations[0]["relation"] == f"ext2 - ext3 = {stratum.incidence_defect}"
 
 
+@pytest.mark.parametrize("stratum", list(genus4.Stratum), ids=lambda s: s.value)
+def test_ext_table_reads_every_recorded_dimension(stratum):
+    table = genus4.ext_table(stratum)
+    for a, b, group, dim in genus4.EXT_ASSUMPTIONS:
+        assert getattr(table[(a, b)], group) == dim, (a, b, group)
+
+
+def test_ext_table_follows_edited_assumptions(monkeypatch):
+    L = genus4.LINE_FACTOR
+    edited = tuple(
+        (a, b, group, 5 if (a, b, group) == (L, L, "ext1") else dim)
+        for a, b, group, dim in genus4.EXT_ASSUMPTIONS
+    )
+    monkeypatch.setattr(genus4, "EXT_ASSUMPTIONS", edited)
+    profile = genus4.ext_table(genus4.Stratum.DISJOINT)[(L, L)]
+    assert (profile.hom, profile.ext1, profile.ext2, profile.ext3) == (1, 5, 1, 0)
+
+
 def test_validate_ext_table_flags_wrong_entry():
     table = genus4.ext_table(genus4.Stratum.DISJOINT)
     L = genus4.LINE_FACTOR
@@ -166,6 +188,21 @@ def test_narrative_statements():
     }
 
 
+def test_narrative_reads_the_ledger(monkeypatch):
+    ledger = [
+        dataclasses.replace(entry, value=entry.value + 1)
+        if entry.name == "small_locus_dim" else entry
+        for entry in genus4.exceptional_ledger()
+    ]
+    monkeypatch.setattr(genus4, "exceptional_ledger", lambda: ledger)
+    notes = {item["statement"]: item["note"] for item in genus4.narrative()}
+    assert notes["small contraction (φ)"] == (
+        "contracted locus dimension 9 in the 24-dimensional wall-side moduli:"
+        " codimension 15 >= 2"
+    )
+    assert notes["divisorial contraction (ψ)"].startswith("exceptional locus dimension 23 = 24 - 1")
+
+
 def test_cohomology_consistency():
     check = genus4.cohomology_consistency()
     assert check["matches_total"] is True
@@ -206,3 +243,8 @@ def test_report_json():
     assert payload["consistency"]["matches_total"] is True
     # deterministic serialization
     assert genus4.report("json") == genus4.report("json")
+
+
+@pytest.mark.parametrize("fmt, name", [("text", "genus4_report.txt"), ("json", "genus4_report.json")])
+def test_report_matches_golden(fmt, name):
+    assert (genus4.report(fmt) + "\n").encode("utf-8") == (GOLDEN / name).read_bytes()
