@@ -235,7 +235,12 @@ def ext_table(stratum: Stratum) -> dict[tuple[str, str], ExtProfile]:
     ``ext2`` and ``ext3`` undetermined: only ``ext2 - ext3`` is pinned, see
     :func:`validate_ext_table`.
     """
-    chi = euler_table()
+    return _ext_table(stratum, euler_table())
+
+
+def _ext_table(
+    stratum: Stratum, chi: dict[tuple[str, str], int]
+) -> dict[tuple[str, str], ExtProfile]:
     recorded = {(a, b, group): dim for a, b, group, dim in EXT_ASSUMPTIONS}
     table = {}
     for key in ((LINE_FACTOR, LINE_FACTOR), (PLANAR_FACTOR, PLANAR_FACTOR),
@@ -259,7 +264,12 @@ def validate_ext_table(table: dict[tuple[str, str], ExtProfile]) -> list[dict]:
     incomplete ones the pairing pins the difference ``ext2 - ext3``, which
     is reported as an inferred relation rather than silently dropped.
     """
-    chi = euler_table()
+    return _validate_ext_table(table, euler_table())
+
+
+def _validate_ext_table(
+    table: dict[tuple[str, str], ExtProfile], chi: dict[tuple[str, str], int]
+) -> list[dict]:
     results = []
     for key, profile in table.items():
         expected = chi[key]
@@ -438,7 +448,11 @@ def narrative() -> list[dict]:
     are consistent with but do not prove.  The dimensions are read from
     :func:`exceptional_ledger`.
     """
-    dims = {entry.name: entry.value for entry in exceptional_ledger()}
+    return _narrative(exceptional_ledger())
+
+
+def _narrative(ledger: list[LedgerEntry]) -> list[dict]:
+    dims = {entry.name: entry.value for entry in ledger}
     moduli = dims["wall_side_moduli_dim"]
     exceptional = dims["exceptional_divisor_dim"]
     small_locus = dims["small_locus_dim"]
@@ -484,7 +498,9 @@ def cohomology_consistency() -> dict:
 def _report_data() -> dict:
     """Every section of the report, computed once, as a JSON-ready mapping."""
     pairs = {r: [str(sub), str(quot)] for r, (sub, quot) in destabilizing_pairs().items()}
-    tables = {s.value: ext_table(s) for s in Stratum}
+    chi = euler_table()
+    ledger = exceptional_ledger()
+    tables = {s.value: _ext_table(s, chi) for s in Stratum}
     return {
         "schema": "p3walls/1",
         "class": str(canonical_class()),
@@ -497,7 +513,7 @@ def _report_data() -> dict:
              "line_points": ref.line_points, "planar_points": ref.planar_points}
             for ref in line_plane_refinements()
         ],
-        "euler_table": {f"{a}|{b}": value for (a, b), value in euler_table().items()},
+        "euler_table": {f"{a}|{b}": value for (a, b), value in chi.items()},
         "ext_tables": {
             name: {f"{a}|{b}": vars(profile) for (a, b), profile in table.items()}
             for name, table in tables.items()
@@ -505,9 +521,9 @@ def _report_data() -> dict:
         "ext_assumptions": [
             {"pair": [a, b], "group": group, "dim": dim} for a, b, group, dim in EXT_ASSUMPTIONS
         ],
-        "ext_validations": {name: validate_ext_table(table) for name, table in tables.items()},
-        "ledger": [vars(entry) for entry in exceptional_ledger()],
-        "narrative": narrative(),
+        "ext_validations": {name: _validate_ext_table(t, chi) for name, t in tables.items()},
+        "ledger": [vars(entry) for entry in ledger],
+        "narrative": _narrative(ledger),
         "consistency": cohomology_consistency(),
     }
 

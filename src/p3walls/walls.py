@@ -34,6 +34,10 @@ Every circle wall of ``v`` has its top on the slope-zero locus of ``v``
 which pins the center of a candidate circle as a function of its radius and
 is what makes a finite, certified enumeration possible; see
 :func:`enumerate_tilt_walls` for the derived search bounds.
+
+Both searches decide the predicate one row ``(r, c)`` at a time, computing
+what depends only on the row once (:func:`_row_walls`).  A class whose
+search cannot be certified finite is refused before any row is scanned.
 """
 
 from __future__ import annotations
@@ -341,52 +345,54 @@ class _WallContext:
         self.bmt_radius_sq = bmt.radius_sq if bmt else None
 
 
-def _candidate_from_ints(
-    ctx: _WallContext, r: int, c: int, D: int
-) -> Optional[WallCandidate]:
-    """The full wall predicate on an integer triple ``(r, c, 2d)``.
+def _row_walls(ctx: _WallContext, sink: dict, r: int, c: int, Ds: range) -> None:
+    """The full wall predicate on each integer triple ``(r, c, 2d)``, ``2d`` in ``Ds``.
 
     This is the single definition of "is a wall" shared by the derived-bound
     enumeration and the exhaustive scan; the two strategies differ only in
-    how they generate triples to feed it.
+    which rows they feed it.  Survivors go into ``sink`` under their pair
+    key, the first one found winning.
     """
-    if (D - c) % 2:
-        return None  # off the truncation lattice
-    ru, cu, Du = ctx.rv - r, ctx.cv - c, ctx.Dv - D
-    if (r, c, D) == (0, 0, 0) or (ru, cu, Du) == (0, 0, 0):
-        return None
-    k1 = ctx.rv * c - r * ctx.cv
+    rv, cv, Dv = ctx.rv, ctx.cv, ctx.Dv
+    k1 = rv * c - r * cv
     if k1 == 0:
-        return None  # vertical or everywhere: not a circle wall
-    K2 = ctx.rv * D - r * ctx.Dv  # twice k2
-    # Admissibility at the top beta = K2 / (2 k1), scaled by 2 |k1| > 0:
-    # 0 < c - beta r < c_v - beta r_v as an integer sign test.
+        return  # vertical or everywhere; also the zero member and complement
     s = 1 if k1 > 0 else -1
-    im_w = s * (2 * k1 * c - K2 * r)
-    if im_w <= 0 or im_w >= s * (2 * k1 * ctx.cv - K2 * ctx.rv):
-        return None
-    if c * c - r * D < 0 or cu * cu - ru * Du < 0:
-        return None  # a member would violate the discriminant inequality
-    K3 = ctx.cv * D - c * ctx.Dv  # twice k3
-    quarter = K2 * K2 - 4 * k1 * K3  # (2 k1 rho)^2
-    if quarter <= 0:
-        return None
-    if math.gcd(r, c, (D - c) // 2) != 1:
-        return None
-    if math.gcd(ru, cu, (Du - cu) // 2) != 1:
-        return None
-    circle = Circle(Fraction(K2, 2 * k1), Fraction(quarter, 4 * k1 * k1))
-    if not circle_meets_region(circle, ctx.region):
-        return None
-    if not _bmt_reaches_nonnegative(ctx, circle):
-        return None
-    w_tr = ChernTruncation(r, c, Fraction(D, 2))
-    # Exact confirmation of the integer test above, on the surviving triple.
-    if not wall_admissible(w_tr, ctx.v_tr, TiltPoint(circle.center, circle.radius_sq)):
-        return None
-    u_tr = ChernTruncation(ru, cu, Fraction(Du, 2))
-    sub, quotient = _orient_pair(w_tr, u_tr)
-    return WallCandidate(circle, sub, quotient)
+    ru, cu = rv - r, cv - c
+    cc, cucu = c * c, cu * cu
+    # Admissibility at the top beta = K2 / (2 k1), scaled by 2 |k1| > 0:
+    # 0 < c - beta r < c_v - beta r_v is 0 < w0 - w1 D < v0 - v1 D.
+    w0, w1 = s * (2 * k1 * c + r * r * Dv), s * r * rv
+    v0, v1 = s * (2 * k1 * cv + r * rv * Dv), s * rv * rv
+    for D in Ds:
+        if (D - c) % 2:
+            continue  # off the truncation lattice
+        im_w = w0 - w1 * D
+        if im_w <= 0 or im_w >= v0 - v1 * D:
+            continue
+        Du = Dv - D
+        if cc - r * D < 0 or cucu - ru * Du < 0:
+            continue  # a member would violate the discriminant inequality
+        K2 = rv * D - r * Dv  # twice k2
+        K3 = cv * D - c * Dv  # twice k3
+        quarter = K2 * K2 - 4 * k1 * K3  # (2 k1 rho)^2
+        if quarter <= 0:
+            continue
+        if math.gcd(r, c, (D - c) // 2) != 1:
+            continue
+        if math.gcd(ru, cu, (Du - cu) // 2) != 1:
+            continue
+        circle = Circle(Fraction(K2, 2 * k1), Fraction(quarter, 4 * k1 * k1))
+        if not circle_meets_region(circle, ctx.region):
+            continue
+        if not _bmt_reaches_nonnegative(ctx, circle):
+            continue
+        w_tr = ChernTruncation(r, c, Fraction(D, 2))
+        # Exact confirmation of the integer test above, on the surviving triple.
+        if not wall_admissible(w_tr, ctx.v_tr, TiltPoint(circle.center, circle.radius_sq)):
+            continue
+        sub, quotient = _orient_pair(w_tr, ChernTruncation(ru, cu, Fraction(Du, 2)))
+        sink.setdefault(_pair_key(ctx, r, c, D), WallCandidate(circle, sub, quotient))
 
 
 def _orient_pair(
@@ -421,12 +427,10 @@ def brute_force_walls(
     """
     ctx = _WallContext(v, region)
     found: dict = {}
+    Ds = range(-bounds.two_d_max, bounds.two_d_max + 1)
     for r in range(-bounds.r_max, bounds.r_max + 1):
         for c in range(-bounds.c_max, bounds.c_max + 1):
-            for D in range(-bounds.two_d_max, bounds.two_d_max + 1):
-                candidate = _candidate_from_ints(ctx, r, c, D)
-                if candidate is not None:
-                    found.setdefault(_pair_key(ctx, r, c, D), candidate)
+            _row_walls(ctx, found, r, c, Ds)
     return _sorted_walls(found)
 
 
@@ -490,12 +494,6 @@ def _vacuity_radius_cap(ctx: _WallContext) -> Fraction:
     return lo
 
 
-def _offer(ctx: _WallContext, sink: dict, r: int, c: int, D: int) -> None:
-    candidate = _candidate_from_ints(ctx, r, c, D)
-    if candidate is not None:
-        sink.setdefault(_pair_key(ctx, r, c, D), candidate)
-
-
 def _scan_torsion_members(ctx: _WallContext, sink: dict) -> None:
     """Pairs with a rank-zero member (total rank nonzero).
 
@@ -511,8 +509,7 @@ def _scan_torsion_members(ctx: _WallContext, sink: dict) -> None:
         disc_side = ctx.d_v - Fraction((cv - c) ** 2, 2 * rv)
         adm_side = Fraction(c * (cv - c), rv)
         lo, hi = (disc_side, adm_side) if rv > 0 else (adm_side, disc_side)
-        for D in range(math.ceil(2 * lo), math.floor(2 * hi) + 1):
-            _offer(ctx, sink, 0, c, D)
+        _row_walls(ctx, sink, 0, c, range(math.ceil(2 * lo), math.floor(2 * hi) + 1))
 
 
 def _scan_rank(ctx: _WallContext, sink: dict, r: int, t_hi: Fraction) -> None:
@@ -536,14 +533,12 @@ def _scan_rank(ctx: _WallContext, sink: dict, r: int, t_hi: Fraction) -> None:
     ends = (window[0] * r, window[1] * r)
     for c in range(math.ceil(min(ends)), math.floor(max(ends) + im_hi) + 1):
         k1 = rv * c - r * ctx.cv
-        if k1 == 0:
-            continue
         d_ends = (
             (window[0] * k1 + r * ctx.d_v) / rv,
             (window[1] * k1 + r * ctx.d_v) / rv,
         )
-        for D in range(math.ceil(2 * min(d_ends)), math.floor(2 * max(d_ends)) + 1):
-            _offer(ctx, sink, r, c, D)
+        Ds = range(math.ceil(2 * min(d_ends)), math.floor(2 * max(d_ends)) + 1)
+        _row_walls(ctx, sink, r, c, Ds)
 
 
 def _scan_rank_zero_total(ctx: _WallContext, sink: dict, t_stop: Fraction) -> None:
@@ -573,8 +568,8 @@ def _scan_rank_zero_total(ctx: _WallContext, sink: dict, t_stop: Fraction) -> No
                     (c * ctx.Dv + k1 * (center * center - t)) / cv
                     for t in (Fraction(0), t_hi)
                 ]
-                for D in range(math.ceil(min(d_ends)), math.floor(max(d_ends)) + 1):
-                    _offer(ctx, sink, rr, c, D)
+                Ds = range(math.ceil(min(d_ends)), math.floor(max(d_ends)) + 1)
+                _row_walls(ctx, sink, rr, c, Ds)
         r += 1
 
 
@@ -608,10 +603,11 @@ def enumerate_tilt_walls(
       :func:`_vacuity_radius_cap`.
 
     When no vacuity disc exists the outside-rank loop has no certified stop,
-    and a :class:`WallSearchError` asks for explicit bounds instead of
-    guessing.  A nonpositive discriminant admits no circle walls at all
-    (negative is incompatible with discriminant additivity; zero forces any
-    equal-slope pair onto a vertical locus), so those return ``[]`` at once.
+    and a :class:`WallSearchError`, raised before any scan, asks for
+    explicit bounds instead of guessing.  A nonpositive discriminant admits
+    no circle walls at all (negative is incompatible with discriminant
+    additivity; zero forces any equal-slope pair onto a vertical locus), so
+    those return ``[]`` at once.
     """
     if bounds is not None:
         return brute_force_walls(v, region, bounds)
@@ -623,6 +619,11 @@ def enumerate_tilt_walls(
     if ctx.rv == 0:
         _scan_rank_zero_total(ctx, found, t_stop)
         return _sorted_walls(found)
+    if t_stop <= 0:
+        raise WallSearchError(
+            "cannot certify termination for this class (no vacuity disc below "
+            "the candidate circles); pass explicit SearchBounds"
+        )
     _scan_torsion_members(ctx, found)
     sign = 1 if ctx.rv > 0 else -1
     for k in range(1, abs(ctx.rv)):  # member ranks strictly between 0 and r_v
@@ -633,11 +634,6 @@ def enumerate_tilt_walls(
             gap = min(r_mu - math.floor(r_mu), math.ceil(r_mu) - r_mu)
         cap = Fraction(ctx.delta, 2 * abs(ctx.rv)) / gap
         _scan_rank(ctx, found, sign * k, cap * cap)
-    if t_stop <= 0:
-        raise WallSearchError(
-            "cannot certify termination for this class (no vacuity disc below "
-            "the candidate circles); pass explicit SearchBounds"
-        )
     excess = 1
     while True:
         n = abs(ctx.rv) + 2 * excess

@@ -248,3 +248,18 @@ def test_report_json():
 @pytest.mark.parametrize("fmt, name", [("text", "genus4_report.txt"), ("json", "genus4_report.json")])
 def test_report_matches_golden(fmt, name):
     assert (genus4.report(fmt) + "\n").encode("utf-8") == (GOLDEN / name).read_bytes()
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_report_builds_euler_table_and_ledger_once(fmt, monkeypatch):
+    calls = {"euler_table": 0, "exceptional_ledger": 0}
+    for name in calls:
+        original = getattr(genus4, name)
+
+        def counted(original=original, name=name):
+            calls[name] += 1
+            return original()
+
+        monkeypatch.setattr(genus4, name, counted)
+    genus4.report(fmt)
+    assert calls == {"euler_table": 1, "exceptional_ledger": 1}

@@ -5,7 +5,7 @@ from fractions import Fraction
 from typing import Optional
 
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from p3walls.chern import (
@@ -228,19 +228,18 @@ def test_unbounded_search_raises():
     )
 
 
-@pytest.mark.parametrize(
-    "total",
-    [
-        ChernCharacter(1, 0, -6, 15),
-        ChernCharacter(1, 0, -1, 1),
-        ChernCharacter(1, 0, 0, 0),
-        ChernCharacter(2, 0, -2, 2),
-        ChernCharacter(2, -1, Fraction(-5, 2), Fraction(29, 6)),
-        ChernCharacter(3, -2, -1, Fraction(8, 3)),
-        ChernCharacter(1, -3, Fraction(-3, 2), Fraction(57, 2)),  # V twisted by 3
-    ],
-    ids=str,
-)
+ORACLE_TOTALS = [
+    ChernCharacter(1, 0, -6, 15),
+    ChernCharacter(1, 0, -1, 1),
+    ChernCharacter(1, 0, 0, 0),
+    ChernCharacter(2, 0, -2, 2),
+    ChernCharacter(2, -1, Fraction(-5, 2), Fraction(29, 6)),
+    ChernCharacter(3, -2, -1, Fraction(8, 3)),
+    ChernCharacter(1, -3, Fraction(-3, 2), Fraction(57, 2)),  # V twisted by 3
+]
+
+
+@pytest.mark.parametrize("total", ORACLE_TOTALS, ids=str)
 def test_oracle_equivalence(total):
     bounds = SearchBounds(5, 20, 100)
     assert enumerate_tilt_walls(total, REGION) == brute_force_walls(total, REGION, bounds)
@@ -298,16 +297,74 @@ DIFFERENTIAL_TOTALS = [
 
 @pytest.mark.parametrize("total", DIFFERENTIAL_TOTALS, ids=str)
 def test_predicate_matches_fraction_reference(total):
+    # Two triples of one row never share a pair key (that would force
+    # 2r = r_v and 2c = c_v, so k1 = 0), so the row's sink holds every
+    # survivor, in the order of its D range.
     bounds = SearchBounds(3, 8, 24)
     ctx = walls_module._WallContext(total, REGION)
+    Ds = range(-bounds.two_d_max, bounds.two_d_max + 1)
     kept = 0
     for r in range(-bounds.r_max, bounds.r_max + 1):
         for c in range(-bounds.c_max, bounds.c_max + 1):
-            for D in range(-bounds.two_d_max, bounds.two_d_max + 1):
-                expected = _reference_candidate(ctx, r, c, D)
-                assert walls_module._candidate_from_ints(ctx, r, c, D) == expected, (r, c, D)
-                kept += expected is not None
+            sink: dict = {}
+            walls_module._row_walls(ctx, sink, r, c, Ds)
+            expected = [_reference_candidate(ctx, r, c, D) for D in Ds]
+            expected = [w for w in expected if w is not None]
+            assert list(sink.values()) == expected, (r, c)
+            kept += len(expected)
     assert kept > 0
+
+
+#: Classes the derived-bound search refuses: no positivity disc for a rank-one
+#: class, a rank-two class of the higher-rank benchmark universe (Chern
+#: classes 2, -1, 3, 1) and a rank-zero class.
+REFUSED_TOTALS = [
+    ChernCharacter(1, 0, -6, 0),
+    ChernCharacter(2, -1, Fraction(-5, 2), Fraction(11, 6)),
+    ChernCharacter(0, 1, Fraction(-11, 2), Fraction(79, 6)),
+]
+
+
+@pytest.mark.parametrize("total", REFUSED_TOTALS, ids=str)
+def test_refusal_comes_before_any_scan(total, monkeypatch):
+    def no_scan(*args):
+        raise AssertionError("a row was scanned before the refusal")
+
+    monkeypatch.setattr(walls_module, "_row_walls", no_scan)
+    with pytest.raises(WallSearchError, match="cannot certify"):
+        enumerate_tilt_walls(total, REGION)
+
+
+def _walls_as_set(total: ChernCharacter, region: Region):
+    """Walls as ``(center, radius_sq, {sub, quotient})``, or ``None`` when refused."""
+    try:
+        walls = enumerate_tilt_walls(total, region)
+    except WallSearchError:
+        return None
+    return {
+        (w.circle.center, w.circle.radius_sq, frozenset((w.sub, w.quotient)))
+        for w in walls
+    }
+
+
+TWIST_TOTALS = list(dict.fromkeys(ORACLE_TOTALS + DIFFERENTIAL_TOTALS))
+
+
+@pytest.mark.parametrize("n", [-3, -1, 1, 2])
+@pytest.mark.parametrize("total", TWIST_TOTALS, ids=str)
+def test_walls_are_twist_equivariant(total, n):
+    # Twisting by n shifts every tilt slope by n in beta, so the walls of the
+    # twisted class over the shifted region are the twisted walls.  Sets,
+    # because twisting may flip which member _orient_pair calls the sub.
+    region = Region(-6, 0, 16)
+    shifted = Region(region.beta_min - n, region.beta_max - n, region.alpha_sq_max)
+    expected = _walls_as_set(total, region)
+    if expected is not None:
+        expected = {
+            (center - n, radius_sq, frozenset(m.twist(n) for m in pair))
+            for center, radius_sq, pair in expected
+        }
+    assert _walls_as_set(total.twist(n), shifted) == expected
 
 
 def test_wall_to_dict():
@@ -346,6 +403,25 @@ def test_enumerated_walls_satisfy_invariants(total):
         assert w.sub.is_primitive() and w.quotient.is_primitive()
         assert wall_admissible(w.sub, total, w.top)
         assert circle_meets_region(w.circle, region)
+
+
+@given(small_totals())
+@example(ChernCharacter(0, -1, Fraction(11, 2), Fraction(-79, 6)))  # c_v < 0: no tops, []
+@example(REFUSED_TOTALS[0])
+@example(REFUSED_TOTALS[1])
+@example(REFUSED_TOTALS[2])
+@settings(max_examples=40, deadline=None)
+def test_refusal_is_decided_by_the_vacuity_certificate(total):
+    region = Region(-6, 0, 16)
+    ctx = walls_module._WallContext(total, region)
+    uncertified = ctx.delta > 0 and walls_module._vacuity_radius_cap(ctx) <= 0
+    expect_refusal = uncertified and (ctx.rv != 0 or ctx.cv > 0)
+    try:
+        enumerate_tilt_walls(total, region)
+    except WallSearchError:
+        assert expect_refusal
+    else:
+        assert not expect_refusal
 
 
 @given(small_totals())
