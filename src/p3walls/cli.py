@@ -2,8 +2,9 @@
 
 Results go to stdout, diagnostics to stderr.  Exit codes: 0 on success, 1
 for domain failures (an unbounded search, a rank-zero hyperbola request),
-2 for malformed invocations, which argparse reports itself.  JSON output
-always carries ``"schema": "p3walls/1"``.
+2 for malformed invocations, which argparse reports itself, and for a
+``--brute-force`` box of more than ``MAX_BOX_TRIPLES`` triples, refused
+before any scan.  JSON output always carries ``"schema": "p3walls/1"``.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import sys
 from fractions import Fraction
 from typing import Optional
@@ -25,6 +27,7 @@ from .chern import (
     parse_chern,
 )
 from .walls import (
+    DEFAULT_REGION,
     Region,
     SearchBounds,
     WallSearchError,
@@ -35,6 +38,9 @@ from .walls import (
 from .stability import TiltPoint, bmt_form
 
 SCHEMA = "p3walls/1"
+
+#: Largest ``--brute-force`` box, counted in ``(r, c, 2d)`` triples.
+MAX_BOX_TRIPLES = 10**7
 
 
 def _chern_arg(text: str) -> ChernCharacter:
@@ -49,6 +55,13 @@ def _rational_arg(text: str) -> Fraction:
         return _parse_rational(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid rational {text!r} (expected p or p/q)")
+
+
+def _bound_arg(text: str) -> int:
+    if not (text.isascii() and text.isdigit()):
+        raise argparse.ArgumentTypeError(
+            f"invalid bound {text!r} (expected a nonnegative integer)")
+    return int(text)
 
 
 def _resolution_term(text: str) -> tuple[int, int]:
@@ -68,12 +81,12 @@ def _region_from(args: argparse.Namespace) -> Region:
 
 
 def _add_region_options(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--beta-min", type=_rational_arg, default=Fraction(-12),
-                        help="left edge of the search window (default -12)")
-    parser.add_argument("--beta-max", type=_rational_arg, default=Fraction(0),
-                        help="right edge of the search window (default 0)")
-    parser.add_argument("--alpha2-max", type=_rational_arg, default=Fraction(64),
-                        help="cap on alpha^2 (default 64)")
+    parser.add_argument("--beta-min", type=_rational_arg, default=DEFAULT_REGION.beta_min,
+                        help="left edge of the search window (default %(default)s)")
+    parser.add_argument("--beta-max", type=_rational_arg, default=DEFAULT_REGION.beta_max,
+                        help="right edge of the search window (default %(default)s)")
+    parser.add_argument("--alpha2-max", type=_rational_arg, default=DEFAULT_REGION.alpha_sq_max,
+                        help="cap on alpha^2 (default %(default)s)")
 
 
 def _cmd_chern_twist(args: argparse.Namespace) -> int:
@@ -101,6 +114,11 @@ def _cmd_walls(args: argparse.Namespace) -> int:
     bounds: Optional[SearchBounds] = None
     if args.brute_force:
         bounds = SearchBounds(args.r_max, args.c_max, args.two_d_max)
+        triples = math.prod(2 * bound + 1 for bound in bounds)
+        if triples > MAX_BOX_TRIPLES:
+            print(f"error: the --brute-force box holds {triples} triples, "
+                  f"more than {MAX_BOX_TRIPLES}", file=sys.stderr)
+            return 2
     walls = enumerate_tilt_walls(args.v, region, bounds)
     if args.format == "json":
         payload = {
@@ -197,9 +215,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_region_options(walls)
     walls.add_argument("--brute-force", action="store_true",
                        help="scan an explicit integer box instead")
-    walls.add_argument("--r-max", type=int, default=5)
-    walls.add_argument("--c-max", type=int, default=20)
-    walls.add_argument("--two-d-max", type=int, default=100)
+    walls.add_argument("--r-max", type=_bound_arg, default=5)
+    walls.add_argument("--c-max", type=_bound_arg, default=20)
+    walls.add_argument("--two-d-max", type=_bound_arg, default=100)
     walls.add_argument("--format", choices=("table", "json"), default="table")
     walls.set_defaults(handler=_cmd_walls)
 

@@ -40,14 +40,11 @@ from .chern import (
     from_resolution,
     line_bundle_ch,
 )
-from .walls import Region, WallCandidate, enumerate_tilt_walls, wall_to_dict
+from .walls import DEFAULT_REGION, Region, WallCandidate, enumerate_tilt_walls, wall_to_dict
 
 #: Keys naming the two factors in Euler and Ext tables.
 LINE_FACTOR = "twisted_line_ideal"
 PLANAR_FACTOR = "planar_sheaf"
-
-#: The search window used throughout: every wall of the class lives here.
-DEFAULT_REGION = Region(-12, 0, 64)
 
 
 @functools.lru_cache(maxsize=None)

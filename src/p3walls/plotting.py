@@ -22,6 +22,7 @@ from typing import Optional
 
 from .chern import ChernCharacter
 from .walls import (
+    DEFAULT_REGION,
     Circle,
     Region,
     WallCandidate,
@@ -52,7 +53,7 @@ class Scene:
 
 def build_scene(
     v: ChernCharacter,
-    region: Region = Region(-12, 0, 64),
+    region: Region = DEFAULT_REGION,
     s: Optional[Fraction] = None,
 ) -> Scene:
     """Assemble the standard picture for a total class over a window.

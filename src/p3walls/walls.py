@@ -117,6 +117,10 @@ class Region:
             raise ValueError("alpha_sq_max must be positive")
 
 
+#: The search window used throughout: every wall of ``(1, 0, -6, 15)`` lives here.
+DEFAULT_REGION = Region(-12, 0, 64)
+
+
 @dataclass(frozen=True)
 class WallCandidate:
     """A circle wall together with one destabilizing pair found on it.
@@ -434,53 +438,56 @@ def brute_force_walls(
     return _sorted_walls(found)
 
 
-def _sqrt_bounds(x: Fraction, bits: int = 64) -> tuple[Fraction, Fraction]:
-    """Outer rational bounds ``lo <= sqrt(x) <= hi``."""
+_SQRT_BITS = 192
+
+
+def _sqrt_bounds(x: Fraction) -> tuple[Fraction, Fraction]:
+    """Outer rational bounds ``lo <= sqrt(x) <= hi``, ``2^-192 / den(x)`` apart."""
     if x < 0:
         raise ValueError("negative radicand")
-    scale = 1 << bits
+    scale = 1 << _SQRT_BITS
     root = math.isqrt(x.numerator * x.denominator * scale * scale)
     q = x.denominator * scale
     return Fraction(root, q), Fraction(root + 1, q)
+
+
+def _center_hull(ctx: _WallContext, t: Fraction) -> tuple[Fraction, Fraction]:
+    """Interval holding the center of every candidate circle with ``rho^2 <= t``.
+
+    A candidate's top lies on the slope-zero locus of ``v``, so its center is
+    ``C(rho^2)`` with ``C(t) = mu -/+ sqrt(disc(v)/r_v^2 + t)`` (admissible
+    branch), monotone; the hull runs from ``C(0)`` to ``C(t)``, rounded
+    outward.  For rank zero every center is ``d_v / c_v``.
+    """
+    if not ctx.rv:
+        center = ctx.d_v / ctx.v_tr.c
+        return center, center
+    base = Fraction(ctx.delta, ctx.rv * ctx.rv)
+    near, far = _sqrt_bounds(base)[0], _sqrt_bounds(base + t)[1]
+    if ctx.rv > 0:
+        return ctx.mu - far, ctx.mu - near
+    return ctx.mu + near, ctx.mu + far
 
 
 def _vacuity_radius_cap(ctx: _WallContext) -> Fraction:
     """Largest certified ``t`` such that every candidate circle with
     ``rho^2 <= t`` fails the positivity filter.
 
-    Uses two facts.  The top of every candidate circle lies on the
-    slope-zero locus of ``v``, so its center is the explicit monotone
-    function ``C(t) = mu -/+ sqrt(disc(v)/r_v^2 + t)`` of its squared radius
-    ``t`` (admissible branch only; a constant for rank zero).  And a circle
-    strictly inside the open disc bounded by :func:`bmt_zero_circle` has the
-    positivity form strictly negative everywhere on it.  The return value is
-    a conservative rational lower bound for the true threshold, found by
-    bisection with outward-rounded square roots; undershooting is harmless
-    (the search merely inspects more ranks).
+    A circle strictly inside the open disc bounded by :func:`bmt_zero_circle`
+    has the positivity form strictly negative on it.  A candidate with
+    ``rho^2 <= t`` is centered in ``_center_hull(ctx, t)`` and ``|x - C_B|``
+    is convex, so the farther hull end plus ``sqrt(t)``, rounded up, bounds
+    its reach from the disc center ``C_B``.  The result, found by bisection,
+    is a conservative lower bound for the true threshold; undershooting is
+    harmless (the search merely inspects more ranks).
     """
     if ctx.bmt_radius_sq is None:
         return Fraction(0)
 
     def certified(t: Fraction) -> bool:
-        # Certify max(|C(0)-C_B|, |C(t)-C_B|) + sqrt(t) < rho_B, which by
-        # monotonicity of C dominates |C(t')-C_B| + sqrt(t') for t' <= t.
-        for bits in (32, 64, 192):
-            worst = Fraction(0)
-            for tt in (Fraction(0), t) if ctx.rv else (Fraction(0),):
-                if ctx.rv:
-                    lo, hi = _sqrt_bounds(Fraction(ctx.delta, ctx.rv * ctx.rv) + tt, bits)
-                    if ctx.rv > 0:
-                        ends = (ctx.mu - hi - ctx.bmt_center, ctx.mu - lo - ctx.bmt_center)
-                    else:
-                        ends = (ctx.mu + lo - ctx.bmt_center, ctx.mu + hi - ctx.bmt_center)
-                else:
-                    fixed = ctx.d_v / ctx.v_tr.c - ctx.bmt_center
-                    ends = (fixed, fixed)
-                worst = max(worst, abs(ends[0]), abs(ends[1]))
-            reach = worst + _sqrt_bounds(t, bits)[1]
-            if reach * reach < ctx.bmt_radius_sq:
-                return True
-        return False
+        lo, hi = _center_hull(ctx, t)
+        reach = max(abs(lo - ctx.bmt_center), abs(hi - ctx.bmt_center)) + _sqrt_bounds(t)[1]
+        return reach * reach < ctx.bmt_radius_sq
 
     if not certified(Fraction(0)):
         return Fraction(0)
@@ -515,28 +522,18 @@ def _scan_torsion_members(ctx: _WallContext, sink: dict) -> None:
 def _scan_rank(ctx: _WallContext, sink: dict, r: int, t_hi: Fraction) -> None:
     """All candidates of member rank ``r != 0`` with squared radius at most ``t_hi``.
 
-    The top-on-slope-zero-locus identity confines the center to the interval
-    swept by ``C(t)`` for ``t in [0, t_hi]``; admissibility pins ``c`` into
+    The center lies in :func:`_center_hull`; admissibility pins ``c`` into
     ``(C r, C r + im_v(top))``; and for fixed ``(r, c)`` the center is an
     injective affine function of ``d``.  Windows are rounded outward and the
     exact predicate does all the rejection.
     """
     rv = ctx.rv
-    base = Fraction(ctx.delta, rv * rv)
-    radial_lo = _sqrt_bounds(base)[0]
-    radial_hi = _sqrt_bounds(base + t_hi)[1]
-    if rv > 0:
-        window = (ctx.mu - radial_hi, ctx.mu - radial_lo)
-    else:
-        window = (ctx.mu + radial_lo, ctx.mu + radial_hi)
-    im_hi = abs(rv) * radial_hi
+    window = _center_hull(ctx, t_hi)
+    im_hi = max(ctx.cv - rv * C for C in window)
     ends = (window[0] * r, window[1] * r)
     for c in range(math.ceil(min(ends)), math.floor(max(ends) + im_hi) + 1):
         k1 = rv * c - r * ctx.cv
-        d_ends = (
-            (window[0] * k1 + r * ctx.d_v) / rv,
-            (window[1] * k1 + r * ctx.d_v) / rv,
-        )
+        d_ends = [(C * k1 + r * ctx.d_v) / rv for C in window]
         Ds = range(math.ceil(2 * min(d_ends)), math.floor(2 * max(d_ends)) + 1)
         _row_walls(ctx, sink, r, c, Ds)
 
@@ -556,7 +553,7 @@ def _scan_rank_zero_total(ctx: _WallContext, sink: dict, t_stop: Fraction) -> No
             "cannot certify a finite search for this rank-zero class "
             "(no vacuity disc); pass explicit SearchBounds"
         )
-    center = ctx.d_v / ctx.v_tr.c
+    center = _center_hull(ctx, t_stop)[0]
     r = 1
     while Fraction(cv * cv, 4 * r * r) > t_stop:
         t_hi = Fraction(cv * cv, 4 * r * r)

@@ -1,12 +1,16 @@
 from __future__ import annotations
 
+import inspect
 import json
 import time
 from pathlib import Path
 
 import pytest
 
+from p3walls import genus4
 from p3walls.cli import build_parser, run
+from p3walls.plotting import build_scene
+from p3walls.walls import DEFAULT_REGION, Region
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -93,6 +97,32 @@ def test_walls_custom_region(capsys):
     payload = json.loads(out)
     assert payload["count"] == 3  # the innermost circle stays right of this window
     assert [w["center"] for w in payload["walls"]] == ["-13/2", "-11/2", "-9/2"]
+
+
+@pytest.mark.parametrize(
+    "bounds",
+    [("--r-max=-3",), ("--r-max", "100000", "--c-max", "100000")],
+    ids=["negative", "oversized"],
+)
+def test_brute_force_box_is_bounded(capsys, bounds):
+    start = time.perf_counter()
+    code, out, err = invoke(capsys, "walls", "--v", "1,0,-6,15", "--brute-force", *bounds)
+    elapsed = time.perf_counter() - start
+    assert code == 2 and out == "" and "error" in err
+    assert elapsed < 0.1
+
+
+def test_brute_force_default_box(capsys):
+    code, out, _ = invoke(capsys, "walls", "--v", "1,0,-6,15", "--brute-force")
+    assert code == 0 and len(out.splitlines()) == 5
+
+
+def test_region_defaults_are_the_library_default():
+    for command in ("walls", "plot --out x.svg"):
+        args = build_parser().parse_args([*command.split(), "--v", "1,0,-6,15"])
+        assert Region(args.beta_min, args.beta_max, args.alpha2_max) == DEFAULT_REGION
+    assert inspect.signature(build_scene).parameters["region"].default == DEFAULT_REGION
+    assert genus4.DEFAULT_REGION == DEFAULT_REGION
 
 
 def test_unbounded_search_reports_domain_error(capsys):

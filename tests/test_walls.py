@@ -445,3 +445,106 @@ def test_box_restriction_of_smart_search_matches_brute_force(total):
     # found whenever either member fits the box
     restricted = [w for w in smart if in_box(w.sub) or in_box(w.quotient)]
     assert restricted == brute_force_walls(total, region, bounds)
+
+
+def _reference_sqrt_bounds(x: Fraction, bits: int) -> tuple[Fraction, Fraction]:
+    scale = 1 << bits
+    root = math.isqrt(x.numerator * x.denominator * scale * scale)
+    q = x.denominator * scale
+    return Fraction(root, q), Fraction(root + 1, q)
+
+
+def _reference_vacuity_cap(ctx: walls_module._WallContext) -> Fraction:
+    """The vacuity cap as it stood before the center hull: each bisection step
+    retries a 32/64/192-bit ladder, taking both roundings of ``C(0)`` and
+    ``C(t)`` as four separate endpoints."""
+    if ctx.bmt_radius_sq is None:
+        return Fraction(0)
+
+    def certified(t: Fraction) -> bool:
+        for bits in (32, 64, 192):
+            worst = Fraction(0)
+            for tt in (Fraction(0), t) if ctx.rv else (Fraction(0),):
+                if ctx.rv:
+                    mu = Fraction(ctx.cv, ctx.rv)
+                    base = Fraction(ctx.delta, ctx.rv * ctx.rv)
+                    lo, hi = _reference_sqrt_bounds(base + tt, bits)
+                    if ctx.rv > 0:
+                        ends = (mu - hi - ctx.bmt_center, mu - lo - ctx.bmt_center)
+                    else:
+                        ends = (mu + lo - ctx.bmt_center, mu + hi - ctx.bmt_center)
+                else:
+                    fixed = ctx.d_v / ctx.v_tr.c - ctx.bmt_center
+                    ends = (fixed, fixed)
+                worst = max(worst, abs(ends[0]), abs(ends[1]))
+            reach = worst + _reference_sqrt_bounds(t, bits)[1]
+            if reach * reach < ctx.bmt_radius_sq:
+                return True
+        return False
+
+    if not certified(Fraction(0)):
+        return Fraction(0)
+    lo, hi = Fraction(0), ctx.bmt_radius_sq
+    for _ in range(48):
+        mid = (lo + hi) / 2
+        if certified(mid):
+            lo = mid
+        else:
+            hi = mid
+    return lo
+
+
+def _assert_cap_matches_reference(total: ChernCharacter) -> Fraction:
+    ctx = walls_module._WallContext(total, Region(-6, 0, 16))
+    t_stop = walls_module._vacuity_radius_cap(ctx)
+    assert t_stop == _reference_vacuity_cap(ctx)
+    return t_stop
+
+
+@given(small_totals())
+@settings(max_examples=40, deadline=None)
+def test_vacuity_cap_matches_reference_on_small_totals(total):
+    _assert_cap_matches_reference(total)
+
+
+@pytest.mark.parametrize("total", DIFFERENTIAL_TOTALS, ids=str)
+def test_vacuity_cap_matches_reference_on_differential_totals(total):
+    _assert_cap_matches_reference(total)
+
+
+@pytest.mark.parametrize("n", [-3, 0, 2])
+def test_vacuity_cap_matches_reference_on_curve_classes(n):
+    certified = 0
+    for degree in range(1, 12):
+        for genus in range(20):
+            certified += _assert_cap_matches_reference(curve_ideal_ch(degree, genus).twist(n)) > 0
+    assert certified > 0
+
+
+@pytest.mark.parametrize(
+    "total, t, centers",
+    [
+        # C(t) = -sqrt(4 + t): C(0) = -2 and C(5) = -3
+        (ChernCharacter(1, 0, -2, 0), 5, (-3, -2)),
+        # C(t) = +sqrt(4 + t) for negative rank
+        (ChernCharacter(-1, 0, 2, 0), 5, (2, 3)),
+        # rank zero: every circle is centered at d_v / c_v
+        (ChernCharacter(0, 1, Fraction(-1, 2), Fraction(1, 6)), 7, (Fraction(-1, 2),)),
+    ],
+    ids=["rank-one", "negative-rank", "rank-zero"],
+)
+def test_center_hull_contains_exact_centers(total, t, centers):
+    ctx = walls_module._WallContext(total, REGION)
+    lo, hi = walls_module._center_hull(ctx, Fraction(t))
+    assert lo <= min(centers) and max(centers) <= hi
+    if total.r == 0:
+        assert lo == hi == centers[0]
+
+
+@pytest.mark.parametrize("total", ORACLE_TOTALS, ids=str)
+def test_center_hull_contains_every_oracle_wall(total):
+    ctx = walls_module._WallContext(total, REGION)
+    walls = brute_force_walls(total, REGION, SearchBounds(5, 20, 100))
+    for w in walls:
+        lo, hi = walls_module._center_hull(ctx, w.circle.radius_sq)
+        assert lo <= w.circle.center <= hi, w
