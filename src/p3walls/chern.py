@@ -26,9 +26,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Union
+from typing import Iterable
 
-RationalInput = Union[Fraction, int, str]
+RationalInput = Fraction | int | str
 
 #: Todd class of projective 3-space, degree 0 through 3.
 TODD = (Fraction(1), Fraction(2), Fraction(11, 6), Fraction(1))

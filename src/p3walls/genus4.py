@@ -31,7 +31,7 @@ import functools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Optional
 
 from .chern import (
     ChernCharacter,
@@ -93,7 +93,7 @@ def destabilizing_pairs() -> dict[Fraction, tuple[ChernCharacter, ChernCharacter
     }
 
 
-def rank_one_point_count(degree: int, e: Union[Fraction, int]) -> Fraction:
+def rank_one_point_count(degree: int, e: Fraction | int) -> Fraction:
     """Number of point modifications carried by a rank-one factor.
 
     The 1-twist of the ideal sheaf of a genus-0 curve of the given degree
@@ -104,7 +104,7 @@ def rank_one_point_count(degree: int, e: Union[Fraction, int]) -> Fraction:
     return 3 * degree - Fraction(7, 6) - Fraction(e)
 
 
-def planar_point_count(plane_twist: int, e: Union[Fraction, int]) -> Fraction:
+def planar_point_count(plane_twist: int, e: Fraction | int) -> Fraction:
     """Number of point modifications carried by a planar factor.
 
     A plane sheaf that is the twist by ``-plane_twist`` of an ideal of

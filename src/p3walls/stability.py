@@ -27,11 +27,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Union
+from typing import NamedTuple
 
 from .chern import ChernCharacter, ChernTruncation, RationalInput, _parse_rational, _rat
 
-TruncationLike = Union[ChernCharacter, ChernTruncation]
+TruncationLike = ChernCharacter | ChernTruncation
 
 
 class _Infinity:
@@ -63,7 +63,7 @@ class _Infinity:
 
 INFINITY = _Infinity()
 
-ExtendedRational = Union[Fraction, _Infinity]
+ExtendedRational = Fraction | _Infinity
 
 
 @dataclass(frozen=True)

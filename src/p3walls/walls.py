@@ -16,13 +16,19 @@ destabilizing pair survives every numerical test:
 * ``{w, v - w}`` both have nonnegative discriminant and both are primitive
   in the truncation lattice;
 * the pair is admissible at the top of the circle (both charge imaginary
-  parts strictly between 0 and that of ``v``); scaled by ``2 |k1|`` this is
-  an integer sign test, decided before any rational is built;
+  parts strictly between 0 and that of ``v``);
 * the circle meets the region;
 * the quadratic form of :func:`p3walls.stability.bmt_form` is nonnegative
   somewhere on the circle.  Restricted to any slope-equality circle of ``v``
   the form is affine in ``beta`` (the ``beta^2`` terms cancel against the
-  discriminant), so this has an exact rational test.
+  discriminant), so this has an exact test.
+
+All of these are decided on integers: the circle of a triple has center
+``K2 / m`` and squared radius ``quarter / m^2`` with ``m = 2 k1``, and each
+test, multiplied through by a positive power of ``m`` and by the fixed
+denominators of the region and of the positivity form, becomes a sign or
+square comparison of integers.  Rationals (the circle and the member
+truncations) are built only for triples that are kept as walls.
 
 The last filter removes circles lying entirely in the part of the
 half-plane where no semistable object with class ``v`` exists; without it
@@ -46,10 +52,11 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Optional, Union
+from typing import NamedTuple, Optional
 
 from .chern import ChernCharacter, ChernTruncation, RationalInput, _rat
-from .stability import TiltPoint, nu, wall_admissible
+# walls.wall_admissible and walls.nu stay bound: perfbench/tracer.py wraps them by name.
+from .stability import TiltPoint, nu, wall_admissible  # noqa: F401
 
 
 class NestedRelation(enum.Enum):
@@ -96,7 +103,7 @@ class Empty:
     """The two slopes agree nowhere."""
 
 
-WallLocus = Union[Circle, VerticalLine, Everywhere, Empty]
+WallLocus = Circle | VerticalLine | Everywhere | Empty
 
 
 @dataclass(frozen=True)
@@ -156,15 +163,15 @@ class WallSearchError(RuntimeError):
     """Raised when the derived enumeration bounds cannot certify termination."""
 
 
-def _truncation(ch: Union[ChernCharacter, ChernTruncation]) -> ChernTruncation:
+def _truncation(ch: ChernCharacter | ChernTruncation) -> ChernTruncation:
     if isinstance(ch, ChernCharacter):
         return ch.truncation()
     return ch
 
 
 def tilt_wall_locus(
-    v: Union[ChernCharacter, ChernTruncation],
-    w: Union[ChernCharacter, ChernTruncation],
+    v: ChernCharacter | ChernTruncation,
+    w: ChernCharacter | ChernTruncation,
 ) -> WallLocus:
     """Locus of tilt-slope equality of ``v`` and ``w``; see the module docstring."""
     a, b = _truncation(v), _truncation(w)
@@ -190,7 +197,7 @@ def wall_top(locus: WallLocus) -> TiltPoint:
 
 
 def hyperbola_alpha_sq(
-    v: Union[ChernCharacter, ChernTruncation], beta: RationalInput
+    v: ChernCharacter | ChernTruncation, beta: RationalInput
 ) -> Optional[Fraction]:
     """Height ``alpha^2`` of the slope-zero locus of ``v`` over ``beta``.
 
@@ -206,7 +213,7 @@ def hyperbola_alpha_sq(
     return value if value > 0 else None
 
 
-def on_hyperbola(v: Union[ChernCharacter, ChernTruncation], point: TiltPoint) -> bool:
+def on_hyperbola(v: ChernCharacter | ChernTruncation, point: TiltPoint) -> bool:
     """Whether ``point`` lies on the slope-zero locus of ``v``."""
     return nu(_truncation(v), point) == 0
 
@@ -216,23 +223,60 @@ def _ge_sqrt(a: Fraction, x: Fraction) -> bool:
     return a >= 0 and a * a >= x
 
 
-def circle_meets_region(circle: Circle, region: Region) -> bool:
-    """Exact test for whether the open upper semicircle meets the region."""
-    c, rho_sq = circle.center, circle.radius_sq
-    if _ge_sqrt(region.beta_min - c, rho_sq):  # strip right of the span
+def _region_ints(region: Region) -> tuple[int, int, int, int, int]:
+    """``(q, B_min, B_max, a_num, a_den)``: the edges over their common
+    denominator ``q`` are ``B_min / q`` and ``B_max / q``, the height cap is
+    ``a_num / a_den``."""
+    lo, hi, cap = region.beta_min, region.beta_max, region.alpha_sq_max
+    q = math.lcm(lo.denominator, hi.denominator)
+    B_min = lo.numerator * (q // lo.denominator)
+    B_max = hi.numerator * (q // hi.denominator)
+    return q, B_min, B_max, cap.numerator, cap.denominator
+
+
+def _meets_region(reg: tuple, K2: int, quarter: int, m: int) -> bool:
+    """:func:`circle_meets_region` for the circle with center ``C = K2 / m``
+    and squared radius ``quarter / m^2`` (``m != 0``), on integers, with the
+    region given by :func:`_region_ints`.
+
+    For an edge ``b = B / q`` the number ``B m - K2 q`` is ``(b - C) q m``:
+    its sign times ``sign(m)`` is the sign of ``b - C``, and
+    ``(b - C)^2 >= rho^2`` reads ``(B m - K2 q)^2 >= quarter q^2``.
+    """
+    q, B_min, B_max, a_num, a_den = reg
+    lo = B_min * m - K2 * q
+    hi = B_max * m - K2 * q
+    if m < 0:
+        lo, hi = -lo, -hi  # now (b - C) q |m| for each edge
+    reach = quarter * q * q
+    lo2, hi2 = lo * lo, hi * hi
+    if lo >= 0 and lo2 >= reach:  # strip right of the span
         return False
-    if _ge_sqrt(c - region.beta_max, rho_sq):  # strip left of the span
+    if hi <= 0 and hi2 >= reach:  # strip left of the span
         return False
     # A ground point of the circle interior to the strip means the arc comes
     # down to arbitrarily small positive heights inside the region.
-    if _ge_sqrt(c - region.beta_min, rho_sq):
+    if lo <= 0 and lo2 >= reach:
         return True
-    if _ge_sqrt(region.beta_max - c, rho_sq):
+    if hi >= 0 and hi2 >= reach:
         return True
     # Both strip edges are strictly inside the span: the lowest arc point
-    # over the strip sits above one of the edges.
-    lowest = rho_sq - max((region.beta_min - c) ** 2, (region.beta_max - c) ** 2)
-    return lowest <= region.alpha_sq_max
+    # over the strip, rho^2 - max (b - C)^2, sits above one of the edges.
+    return a_den * (reach - max(lo2, hi2)) <= a_num * m * m * q * q
+
+
+def circle_meets_region(circle: Circle, region: Region) -> bool:
+    """Exact test for whether the open upper semicircle meets the region.
+
+    The circle is written as ``C = K2 / m``, ``rho^2 = quarter / m^2`` with
+    ``m = den(C) den(rho^2)`` and decided by the same integer test the wall
+    predicate runs on every candidate.
+    """
+    c, rho_sq = circle.center, circle.radius_sq
+    m = c.denominator * rho_sq.denominator
+    K2 = c.numerator * rho_sq.denominator
+    quarter = rho_sq.numerator * (m // rho_sq.denominator) * m
+    return _meets_region(_region_ints(region), K2, quarter, m)
 
 
 def _le_sum_of_sqrts(q: Fraction, x: Fraction, y: Fraction) -> bool:
@@ -286,7 +330,7 @@ def nested(a: Circle, b: Circle) -> NestedRelation:
 # with g1 = -2 c_v d_v + 6 r_v e_v and g0 = 4 d_v^2 - 6 c_v e_v becomes
 # affine in beta, because y = rho^2 - (beta - C)^2 on the circle and the
 # beta^2 coefficients cancel.  Maximizing an affine function over the closed
-# arc is exact rational arithmetic.
+# arc is exact; :func:`_row_walls` does it on integers.
 # ---------------------------------------------------------------------------
 
 
@@ -310,16 +354,6 @@ def bmt_zero_circle(v: ChernCharacter) -> Optional[Circle]:
     return Circle(center, radius_sq)
 
 
-def _bmt_reaches_nonnegative(ctx: "_WallContext", circle: Circle) -> bool:
-    """Whether the positivity form of ``v`` is ``>= 0`` somewhere on the circle."""
-    slope = 2 * ctx.delta_f * circle.center + ctx.g1
-    const = ctx.delta_f * circle.radius_sq - ctx.delta_f * circle.center ** 2 + ctx.g0
-    peak = slope * circle.center + const  # affine max is at center +- rho
-    if peak >= 0:
-        return True
-    return peak * peak <= slope * slope * circle.radius_sq
-
-
 # ---------------------------------------------------------------------------
 # Enumeration.
 # ---------------------------------------------------------------------------
@@ -335,14 +369,19 @@ class _WallContext:
         self.v = v
         self.v_tr = tr
         self.region = region
+        self.region_ints = _region_ints(region)
         self.rv = int(tr.r)
         self.cv = int(tr.c)
         self.Dv = int(2 * tr.d)
         self.d_v = tr.d
         self.delta = self.cv * self.cv - self.rv * self.Dv  # integer discriminant
-        self.delta_f = Fraction(self.delta)
-        self.g1 = -2 * v.c * v.d + 6 * v.r * v.e
-        self.g0 = 4 * v.d * v.d - 6 * v.c * v.e
+        # g1 = -2 c_v d_v + 6 r_v e_v and g0 = 4 d_v^2 - 6 c_v e_v over their
+        # least common denominator g: g1 = G1 / g, g0 = G0 / g.
+        e_num, e_den = v.e.numerator, v.e.denominator
+        G1 = 6 * self.rv * e_num - self.cv * self.Dv * e_den
+        G0 = self.Dv * self.Dv * e_den - 6 * self.cv * e_num
+        h = math.gcd(G0, G1, e_den)
+        self.G1, self.G0, self.delta_g = G1 // h, G0 // h, self.delta * (e_den // h)
         self.mu = Fraction(self.cv, self.rv) if self.rv else None
         bmt = bmt_zero_circle(v)
         self.bmt_center = bmt.center if bmt else None
@@ -354,8 +393,8 @@ def _row_walls(ctx: _WallContext, sink: dict, r: int, c: int, Ds: range) -> None
 
     This is the single definition of "is a wall" shared by the derived-bound
     enumeration and the exhaustive scan; the two strategies differ only in
-    which rows they feed it.  Survivors go into ``sink`` under their pair
-    key, the first one found winning.
+    which rows they feed it.  Every test is on integers; survivors go into
+    ``sink`` under their pair key, the first one found winning.
     """
     rv, cv, Dv = ctx.rv, ctx.cv, ctx.Dv
     k1 = rv * c - r * cv
@@ -364,10 +403,19 @@ def _row_walls(ctx: _WallContext, sink: dict, r: int, c: int, Ds: range) -> None
     s = 1 if k1 > 0 else -1
     ru, cu = rv - r, cv - c
     cc, cucu = c * c, cu * cu
-    # Admissibility at the top beta = K2 / (2 k1), scaled by 2 |k1| > 0:
+    # The circle has center C = K2 / m and squared radius quarter / m^2.
+    m = 2 * k1
+    mm = m * m
+    # Admissibility at the top beta = K2 / m, scaled by |m| > 0:
     # 0 < c - beta r < c_v - beta r_v is 0 < w0 - w1 D < v0 - v1 D.
-    w0, w1 = s * (2 * k1 * c + r * r * Dv), s * r * rv
-    v0, v1 = s * (2 * k1 * cv + r * rv * Dv), s * rv * rv
+    w0, w1 = s * (m * c + r * r * Dv), s * r * rv
+    v0, v1 = s * (m * cv + r * rv * Dv), s * rv * rv
+    # Positivity: on the circle the form is affine in beta, with value
+    # P / (g m^2) at the top and slope S / (g m), where
+    # P = dg (K2^2 + quarter) + G1 K2 m + G0 m^2 and S = 2 dg K2 + G1 m; it
+    # is >= 0 somewhere on the arc iff P >= 0 or P^2 <= S^2 quarter.
+    dg, G1m, G0mm = ctx.delta_g, ctx.G1 * m, ctx.G0 * mm
+    reg = ctx.region_ints
     for D in Ds:
         if (D - c) % 2:
             continue  # off the truncation lattice
@@ -386,16 +434,17 @@ def _row_walls(ctx: _WallContext, sink: dict, r: int, c: int, Ds: range) -> None
             continue
         if math.gcd(ru, cu, (Du - cu) // 2) != 1:
             continue
-        circle = Circle(Fraction(K2, 2 * k1), Fraction(quarter, 4 * k1 * k1))
-        if not circle_meets_region(circle, ctx.region):
+        if not _meets_region(reg, K2, quarter, m):
             continue
-        if not _bmt_reaches_nonnegative(ctx, circle):
-            continue
-        w_tr = ChernTruncation(r, c, Fraction(D, 2))
-        # Exact confirmation of the integer test above, on the surviving triple.
-        if not wall_admissible(w_tr, ctx.v_tr, TiltPoint(circle.center, circle.radius_sq)):
-            continue
-        sub, quotient = _orient_pair(w_tr, ChernTruncation(ru, cu, Fraction(Du, 2)))
+        at_top = dg * (K2 * K2 + quarter) + G1m * K2 + G0mm
+        if at_top < 0:
+            slope = 2 * dg * K2 + G1m
+            if at_top * at_top > slope * slope * quarter:
+                continue
+        circle = Circle(Fraction(K2, m), Fraction(quarter, mm))
+        sub, quotient = _orient_pair(
+            ChernTruncation(r, c, Fraction(D, 2)), ChernTruncation(ru, cu, Fraction(Du, 2))
+        )
         sink.setdefault(_pair_key(ctx, r, c, D), WallCandidate(circle, sub, quotient))
 
 

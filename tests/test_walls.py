@@ -245,11 +245,40 @@ def test_oracle_equivalence(total):
     assert enumerate_tilt_walls(total, REGION) == brute_force_walls(total, REGION, bounds)
 
 
+def _reference_meets_region(circle: Circle, region: Region) -> bool:
+    """The region test as it stood on Fractions, before it moved to integers."""
+
+    def ge_sqrt(a: Fraction, x: Fraction) -> bool:
+        return a >= 0 and a * a >= x
+
+    c, rho_sq = circle.center, circle.radius_sq
+    if ge_sqrt(region.beta_min - c, rho_sq) or ge_sqrt(c - region.beta_max, rho_sq):
+        return False
+    if ge_sqrt(c - region.beta_min, rho_sq) or ge_sqrt(region.beta_max - c, rho_sq):
+        return True
+    lowest = rho_sq - max((region.beta_min - c) ** 2, (region.beta_max - c) ** 2)
+    return lowest <= region.alpha_sq_max
+
+
+def _reference_reaches_nonnegative(total: ChernCharacter, circle: Circle) -> bool:
+    """The positivity test as it stood on Fractions: the form restricted to
+    the circle is affine in beta, so its maximum sits at center -/+ rho."""
+    delta = total.discriminant()
+    g1 = -2 * total.c * total.d + 6 * total.r * total.e
+    g0 = 4 * total.d * total.d - 6 * total.c * total.e
+    slope = 2 * delta * circle.center + g1
+    const = delta * circle.radius_sq - delta * circle.center ** 2 + g0
+    peak = slope * circle.center + const
+    if peak >= 0:
+        return True
+    return peak * peak <= slope * slope * circle.radius_sq
+
+
 def _reference_candidate(
     ctx: walls_module._WallContext, r: int, c: int, D: int
 ) -> Optional[walls_module.WallCandidate]:
-    """The wall predicate as it stood before the integer admissibility test:
-    admissibility is checked on Fractions, ahead of the region test."""
+    """The wall predicate as it stood before any integer test: admissibility,
+    region and positivity are checked on Fractions."""
     if (D - c) % 2:
         return None
     ru, cu, Du = ctx.rv - r, ctx.cv - c, ctx.Dv - D
@@ -273,13 +302,28 @@ def _reference_candidate(
     w_tr = ChernTruncation(r, c, Fraction(D, 2))
     if not wall_admissible(w_tr, ctx.v_tr, TiltPoint(circle.center, circle.radius_sq)):
         return None
-    if not circle_meets_region(circle, ctx.region):
+    if not _reference_meets_region(circle, ctx.region):
         return None
-    if not walls_module._bmt_reaches_nonnegative(ctx, circle):
+    if not _reference_reaches_nonnegative(ctx.v, circle):
         return None
     u_tr = ChernTruncation(ru, cu, Fraction(Du, 2))
     sub, quotient = walls_module._orient_pair(w_tr, u_tr)
     return walls_module.WallCandidate(circle, sub, quotient)
+
+
+def _assert_row_matches(ctx: walls_module._WallContext, r: int, c: int, Ds: range) -> int:
+    """Assert that one row keeps exactly the reference's walls; return how many.
+
+    Two triples of one row never share a pair key (that would force
+    2r = r_v and 2c = c_v, so k1 = 0), so the row's sink holds every
+    survivor, in the order of its D range.
+    """
+    sink: dict = {}
+    walls_module._row_walls(ctx, sink, r, c, Ds)
+    expected = [_reference_candidate(ctx, r, c, D) for D in Ds]
+    expected = [w for w in expected if w is not None]
+    assert list(sink.values()) == expected, (r, c, ctx.region)
+    return len(expected)
 
 
 DIFFERENTIAL_TOTALS = [
@@ -292,27 +336,80 @@ DIFFERENTIAL_TOTALS = [
     ChernCharacter(1, 0, -6, 15),
     ChernCharacter(2, -1, Fraction(-5, 2), Fraction(29, 6)),
     ChernCharacter(3, -2, -1, Fraction(8, 3)),
+    # g0 and g1 of the positivity form are not integers; in the last two the
+    # positivity filter decides rows of the box
+    ChernCharacter(1, 0, -6, Fraction(15, 7)),
+    ChernCharacter(2, -1, Fraction(-5, 2), Fraction(3, 5)),
+    ChernCharacter(1, 0, -6, Fraction(104, 7)),
+    ChernCharacter(2, -1, Fraction(-5, 2), Fraction(24, 5)),
+]
+
+#: The default window, and windows whose edges have a common denominator
+#: q > 1 (twice with a fractional height cap), one of them straddling 0.
+DIFFERENTIAL_REGIONS = [
+    REGION,
+    Region(Fraction(-23, 2), Fraction(-1, 3), Fraction(37, 4)),
+    Region(Fraction(-9, 4), Fraction(5, 3), Fraction(1, 5)),
+    Region(-5, -4, Fraction(3, 2)),
 ]
 
 
 @pytest.mark.parametrize("total", DIFFERENTIAL_TOTALS, ids=str)
 def test_predicate_matches_fraction_reference(total):
-    # Two triples of one row never share a pair key (that would force
-    # 2r = r_v and 2c = c_v, so k1 = 0), so the row's sink holds every
-    # survivor, in the order of its D range.
     bounds = SearchBounds(3, 8, 24)
-    ctx = walls_module._WallContext(total, REGION)
     Ds = range(-bounds.two_d_max, bounds.two_d_max + 1)
     kept = 0
-    for r in range(-bounds.r_max, bounds.r_max + 1):
-        for c in range(-bounds.c_max, bounds.c_max + 1):
-            sink: dict = {}
-            walls_module._row_walls(ctx, sink, r, c, Ds)
-            expected = [_reference_candidate(ctx, r, c, D) for D in Ds]
-            expected = [w for w in expected if w is not None]
-            assert list(sink.values()) == expected, (r, c)
-            kept += len(expected)
+    for region in DIFFERENTIAL_REGIONS:
+        ctx = walls_module._WallContext(total, region)
+        for r in range(-bounds.r_max, bounds.r_max + 1):
+            for c in range(-bounds.c_max, bounds.c_max + 1):
+                kept += _assert_row_matches(ctx, r, c, Ds)
     assert kept > 0
+
+
+@st.composite
+def rational_totals(draw) -> ChernCharacter:
+    """Lattice truncations with an arbitrary rational ch_3."""
+    r = draw(st.integers(min_value=-3, max_value=3))
+    c = draw(st.integers(min_value=-4, max_value=4))
+    k = draw(st.integers(min_value=-6, max_value=6))
+    e = Fraction(draw(st.integers(-60, 60)), draw(st.integers(1, 12)))
+    return ChernCharacter(r, c, Fraction(c, 2) + k, e)
+
+
+@st.composite
+def regions(draw) -> Region:
+    lo = Fraction(draw(st.integers(-80, 20)), draw(st.integers(1, 6)))
+    width = Fraction(draw(st.integers(1, 60)), draw(st.integers(1, 6)))
+    cap = Fraction(draw(st.integers(1, 400)), draw(st.integers(1, 8)))
+    return Region(lo, lo + width, cap)
+
+
+@given(rational_totals(), regions(), st.integers(-3, 3), st.integers(-10, 2))
+@settings(max_examples=60, deadline=None)
+def test_predicate_matches_fraction_reference_on_random_rows(total, region, r0, c0):
+    ctx = walls_module._WallContext(total, region)
+    for r in range(r0 - 1, r0 + 2):
+        for c in range(c0, c0 + 9):
+            _assert_row_matches(ctx, r, c, range(-30, 31))
+
+
+@given(
+    st.fractions(min_value=-20, max_value=20, max_denominator=12),
+    st.fractions(min_value=Fraction(1, 12), max_value=60, max_denominator=12),
+    regions(),
+)
+# tangent to the span from the right and from the left, a ground point on
+# either edge, and a lowest arc point exactly at the height cap
+@example(Fraction(0), Fraction(4), Region(2, 5, 1))
+@example(Fraction(0), Fraction(4), Region(-5, -2, 1))
+@example(Fraction(0), Fraction(4), Region(-2, 1, Fraction(1, 100)))
+@example(Fraction(0), Fraction(4), Region(-1, 2, Fraction(1, 100)))
+@example(Fraction(0), Fraction(16), Region(-2, -1, 12))
+@settings(max_examples=200, deadline=None)
+def test_circle_meets_region_matches_fraction_reference(center, radius_sq, region):
+    circle = Circle(center, radius_sq)
+    assert circle_meets_region(circle, region) == _reference_meets_region(circle, region)
 
 
 #: Classes the derived-bound search refuses: no positivity disc for a rank-one
