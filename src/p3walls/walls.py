@@ -360,7 +360,14 @@ def bmt_zero_circle(v: ChernCharacter) -> Optional[Circle]:
 
 
 class _WallContext:
-    """Precomputed integer data for one total class and search region."""
+    """Precomputed integer data for one total class and search region.
+
+    Whether the zero circle of the positivity form (:func:`bmt_zero_circle`)
+    exists is decided on integers: ``g1^2 > 4 g0 disc(v)`` with
+    ``disc(v) > 0`` reads ``G1^2 > 4 G0 delta_g``.  Its rational center and
+    radius are built only when it exists, so a class refused for want of it
+    costs integer work only.
+    """
 
     def __init__(self, v: ChernCharacter, region: Region):
         tr = v.truncation()
@@ -383,9 +390,14 @@ class _WallContext:
         h = math.gcd(G0, G1, e_den)
         self.G1, self.G0, self.delta_g = G1 // h, G0 // h, self.delta * (e_den // h)
         self.mu = Fraction(self.cv, self.rv) if self.rv else None
-        bmt = bmt_zero_circle(v)
-        self.bmt_center = bmt.center if bmt else None
-        self.bmt_radius_sq = bmt.radius_sq if bmt else None
+        # bmt_zero_circle(v): center -G1 / (2 delta_g), squared radius
+        # (G1^2 - 4 G0 delta_g) / (2 delta_g)^2.
+        self.bmt_center = self.bmt_radius_sq = None
+        if self.delta > 0 and self.G1 * self.G1 > 4 * self.G0 * self.delta_g:
+            self.bmt_center = Fraction(-self.G1, 2 * self.delta_g)
+            self.bmt_radius_sq = Fraction(
+                self.G1 * self.G1 - 4 * self.G0 * self.delta_g, 4 * self.delta_g * self.delta_g
+            )
 
 
 def _row_walls(ctx: _WallContext, sink: dict, r: int, c: int, Ds: range) -> None:
@@ -557,15 +569,20 @@ def _scan_torsion_members(ctx: _WallContext, sink: dict) -> None:
     discriminant additivity forces ``c^2 < disc(v)``.  For each ``c`` the
     ``d``-window is closed by the quotient discriminant on one side and by
     admissibility of the quotient at the top on the other.
+
+    In ``2d`` the two ends are ``(D_v r_v - (c_v - c)^2) / r_v`` and
+    ``2 c (c_v - c) / r_v``; they are rounded inward on integers, with the
+    sign of ``r_v`` moved into the numerators.
     """
-    rv, cv = ctx.rv, ctx.cv
+    rv, cv, Dv = ctx.rv, ctx.cv, ctx.Dv
     if ctx.delta < 1:
         return
+    s, den = (1, rv) if rv > 0 else (-1, -rv)
     for c in range(1, math.isqrt(ctx.delta - 1) + 1):
-        disc_side = ctx.d_v - Fraction((cv - c) ** 2, 2 * rv)
-        adm_side = Fraction(c * (cv - c), rv)
+        disc_side = s * (Dv * rv - (cv - c) ** 2)
+        adm_side = s * 2 * c * (cv - c)
         lo, hi = (disc_side, adm_side) if rv > 0 else (adm_side, disc_side)
-        _row_walls(ctx, sink, 0, c, range(math.ceil(2 * lo), math.floor(2 * hi) + 1))
+        _row_walls(ctx, sink, 0, c, range(-(-lo // den), hi // den + 1))
 
 
 def _scan_rank(ctx: _WallContext, sink: dict, r: int, t_hi: Fraction) -> None:
@@ -575,16 +592,27 @@ def _scan_rank(ctx: _WallContext, sink: dict, r: int, t_hi: Fraction) -> None:
     ``(C r, C r + im_v(top))``; and for fixed ``(r, c)`` the center is an
     injective affine function of ``d``.  Windows are rounded outward and the
     exact predicate does all the rejection.
+
+    The windows are decided on integers: each hull end is written ``n / q``
+    over one denominator once per rank, and a row's ``2d``-window runs
+    between ``(2 n k1 + r D_v q) / (r_v q)`` for the two ends, with
+    ``k1 = r_v c - r c_v``.  Its numerator is affine in ``c`` and the sign
+    of ``r_v`` is moved into it once per rank, so each row costs two
+    products and two floor divisions.
     """
-    rv = ctx.rv
-    window = _center_hull(ctx, t_hi)
-    im_hi = max(ctx.cv - rv * C for C in window)
-    ends = (window[0] * r, window[1] * r)
-    for c in range(math.ceil(min(ends)), math.floor(max(ends) + im_hi) + 1):
-        k1 = rv * c - r * ctx.cv
-        d_ends = [(C * k1 + r * ctx.d_v) / rv for C in window]
-        Ds = range(math.ceil(2 * min(d_ends)), math.floor(2 * max(d_ends)) + 1)
-        _row_walls(ctx, sink, r, c, Ds)
+    rv, cv, Dv = ctx.rv, ctx.cv, ctx.Dv
+    lo, hi = _center_hull(ctx, t_hi)
+    q = math.lcm(lo.denominator, hi.denominator)
+    ends = (lo.numerator * (q // lo.denominator), hi.numerator * (q // hi.denominator))
+    # Admissibility at the top: C r < c < C r + c_v - r_v C, over q.
+    rn = (r * ends[0], r * ends[1])
+    im_hi = max(cv * q - rv * n for n in ends)
+    s = 1 if rv > 0 else -1
+    (a0, b0), (a1, b1) = ((s * 2 * n * rv, s * r * (Dv * q - 2 * n * cv)) for n in ends)
+    den = abs(rv) * q
+    for c in range(-(-min(rn) // q), (max(rn) + im_hi) // q + 1):
+        x0, x1 = a0 * c + b0, a1 * c + b1
+        _row_walls(ctx, sink, r, c, range(-(-min(x0, x1) // den), max(x0, x1) // den + 1))
 
 
 def _scan_rank_zero_total(ctx: _WallContext, sink: dict, t_stop: Fraction) -> None:
@@ -593,8 +621,15 @@ def _scan_rank_zero_total(ctx: _WallContext, sink: dict, t_stop: Fraction) -> No
     All slope-equality circles share the center ``d_v / c_v``, and a member
     of rank ``r`` forces ``2 |r| rho <= c_v``, so the rank loop is closed by
     the certified vacuity radius alone.
+
+    The windows are decided on integers from the center ``C = n / q`` of
+    :func:`_center_hull`: from
+    ``rho^2 = C^2 - (c_v D - c D_v) / k1``, the ``2d``-window of a row runs
+    between ``D = (c D_v + k1 (C^2 - t)) / c_v`` at ``t = 0`` and at the cap
+    ``t = c_v^2 / (4 r^2)``, both over the positive denominator
+    ``4 r^2 c_v q^2``.
     """
-    cv = ctx.cv
+    cv, Dv = ctx.cv, ctx.Dv
     if cv <= 0:
         return  # the imaginary part of v is c_v everywhere: no admissible tops
     if t_stop <= 0:
@@ -603,18 +638,20 @@ def _scan_rank_zero_total(ctx: _WallContext, sink: dict, t_stop: Fraction) -> No
             "(no vacuity disc); pass explicit SearchBounds"
         )
     center = _center_hull(ctx, t_stop)[0]
+    n, q = center.numerator, center.denominator
     r = 1
-    while Fraction(cv * cv, 4 * r * r) > t_stop:
-        t_hi = Fraction(cv * cv, 4 * r * r)
+    while cv * cv * t_stop.denominator > 4 * r * r * t_stop.numerator:
+        den = 4 * r * r * cv * q * q
         for rr in (r, -r):
-            for c in range(math.floor(center * rr), math.ceil(center * rr + cv) + 1):
-                k1 = -rr * cv
-                # rho^2 = center^2 - (cv D - c Dv) / k1 is affine in D
-                d_ends = [
-                    (c * ctx.Dv + k1 * (center * center - t)) / cv
-                    for t in (Fraction(0), t_hi)
-                ]
-                Ds = range(math.ceil(min(d_ends)), math.floor(max(d_ends)) + 1)
+            k1 = -rr * cv
+            # 4 r^2 c_v q^2 D = a c + b - 4 r^2 q^2 k1 t, and at the cap
+            # 4 r^2 q^2 k1 t = k1 c_v^2 q^2.
+            a, b = 4 * r * r * Dv * q * q, 4 * r * r * k1 * n * n
+            cap = k1 * cv * cv * q * q
+            for c in range(n * rr // q, -(-(n * rr + cv * q) // q) + 1):
+                x0 = a * c + b
+                x1 = x0 - cap
+                Ds = range(-(-min(x0, x1) // den), max(x0, x1) // den + 1)
                 _row_walls(ctx, sink, rr, c, Ds)
         r += 1
 

@@ -171,6 +171,27 @@ def test_genus4_matches_golden(capsys, argv, name):
     assert out.encode("utf-8") == (GOLDEN / name).read_bytes()
 
 
+#: Derived-bound searches through every scan: ranks 2 and 3, a negative rank
+#: and a rank-zero class, over a wide window.
+WALLS_GOLDENS = [
+    ("2,0,-50,300", "walls_rank2.json", 125),
+    ("3,0,-40,200", "walls_rank3.json", 102),
+    ("-2,-6,-3,19", "walls_rank_minus2.json", 12),
+    ("0,6,-9,7", "walls_rank0.json", 20),
+]
+
+
+@pytest.mark.parametrize("v, name, count", WALLS_GOLDENS, ids=[g[1] for g in WALLS_GOLDENS])
+def test_walls_match_golden(capsys, v, name, count):
+    code, out, err = invoke(
+        capsys, "walls", f"--v={v}", "--format", "json",
+        "--beta-min=-100", "--beta-max", "100", "--alpha2-max", "10000",
+    )
+    assert (code, err) == (0, "")
+    assert out.encode("utf-8") == (GOLDEN / name).read_bytes()
+    assert json.loads(out)["count"] == count
+
+
 def test_malformed_character_is_usage_error(capsys):
     code, out, err = invoke(capsys, "walls", "--v", "1,0,x,15")
     assert code == 2 and out == ""

@@ -424,12 +424,35 @@ REFUSED_TOTALS = [
 
 @pytest.mark.parametrize("total", REFUSED_TOTALS, ids=str)
 def test_refusal_comes_before_any_scan(total, monkeypatch):
-    def no_scan(*args):
-        raise AssertionError("a row was scanned before the refusal")
+    # These classes have no positivity zero circle, so the refusal is decided
+    # on integers: no rational circle and no square root bound is built.
+    def fail(what):
+        def call(*args):
+            raise AssertionError(f"{what} before the refusal")
 
-    monkeypatch.setattr(walls_module, "_row_walls", no_scan)
+        return call
+
+    monkeypatch.setattr(walls_module, "_row_walls", fail("a row was scanned"))
+    monkeypatch.setattr(walls_module, "bmt_zero_circle", fail("the zero circle was built"))
+    monkeypatch.setattr(walls_module, "_sqrt_bounds", fail("a square root was bounded"))
     with pytest.raises(WallSearchError, match="cannot certify"):
         enumerate_tilt_walls(total, REGION)
+
+
+@given(rational_totals())
+@example(ChernCharacter(2, 0, 1, 0))  # disc(v) < 0
+@example(ChernCharacter(1, 0, 0, 0))  # disc(v) = 0
+@example(ChernCharacter(1, 0, -2, Fraction(8, 3)))  # G1^2 = 4 G0 delta_g: radius zero
+@example(ChernCharacter(1, 0, -2, Fraction(-8, 3)))
+@example(V)
+@settings(max_examples=200, deadline=None)
+def test_zero_circle_of_the_context_matches_bmt_zero_circle(total):
+    ctx = walls_module._WallContext(total, REGION)
+    circle = bmt_zero_circle(total)
+    if circle is None:
+        assert ctx.bmt_center is None and ctx.bmt_radius_sq is None
+    else:
+        assert (ctx.bmt_center, ctx.bmt_radius_sq) == (circle.center, circle.radius_sq)
 
 
 def _walls_as_set(total: ChernCharacter, region: Region):
@@ -502,6 +525,13 @@ def test_enumerated_walls_satisfy_invariants(total):
         assert circle_meets_region(w.circle, region)
 
 
+def _certificate_refuses(ctx: walls_module._WallContext) -> bool:
+    """Whether the search must refuse: a positive discriminant, no certified
+    vacuity radius, and for rank zero some admissible top (``c_v > 0``)."""
+    uncertified = ctx.delta > 0 and walls_module._vacuity_radius_cap(ctx) <= 0
+    return uncertified and (ctx.rv != 0 or ctx.cv > 0)
+
+
 @given(small_totals())
 @example(ChernCharacter(0, -1, Fraction(11, 2), Fraction(-79, 6)))  # c_v < 0: no tops, []
 @example(REFUSED_TOTALS[0])
@@ -510,9 +540,7 @@ def test_enumerated_walls_satisfy_invariants(total):
 @settings(max_examples=40, deadline=None)
 def test_refusal_is_decided_by_the_vacuity_certificate(total):
     region = Region(-6, 0, 16)
-    ctx = walls_module._WallContext(total, region)
-    uncertified = ctx.delta > 0 and walls_module._vacuity_radius_cap(ctx) <= 0
-    expect_refusal = uncertified and (ctx.rv != 0 or ctx.cv > 0)
+    expect_refusal = _certificate_refuses(walls_module._WallContext(total, region))
     try:
         enumerate_tilt_walls(total, region)
     except WallSearchError:
@@ -542,6 +570,40 @@ def test_box_restriction_of_smart_search_matches_brute_force(total):
     # found whenever either member fits the box
     restricted = [w for w in smart if in_box(w.sub) or in_box(w.quotient)]
     assert restricted == brute_force_walls(total, region, bounds)
+
+
+@given(small_totals())
+@example(REFUSED_TOTALS[0])
+@example(REFUSED_TOTALS[2])
+@example(ChernCharacter(-2, -6, -3, 19))
+@example(ChernCharacter(0, 6, -9, 7))
+@settings(max_examples=150, deadline=None)
+def test_oracle_equivalence_on_random_classes(total):
+    # Refusals are checked against the certificate; every other class must
+    # equal the oracle over a box strictly containing every scanned row.
+    region = Region(-6, 0, 16)
+    expect_refusal = _certificate_refuses(walls_module._WallContext(total, region))
+    rows: list = []
+    row_walls = walls_module._row_walls
+
+    def record(ctx, sink, r, c, Ds):
+        rows.append((r, c, Ds))
+        row_walls(ctx, sink, r, c, Ds)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(walls_module, "_row_walls", record)
+        try:
+            smart = enumerate_tilt_walls(total, region)
+        except WallSearchError:
+            assert expect_refusal and not rows
+            return
+    assert not expect_refusal
+    bounds = SearchBounds(
+        max((abs(r) for r, _, _ in rows), default=0) + 2,
+        max((abs(c) for _, c, _ in rows), default=0) + 4,
+        max((max(-Ds[0], Ds[-1]) for _, _, Ds in rows if Ds), default=0) + 8,
+    )
+    assert smart == brute_force_walls(total, region, bounds)
 
 
 def _reference_sqrt_bounds(x: Fraction, bits: int) -> tuple[Fraction, Fraction]:
@@ -645,3 +707,140 @@ def test_center_hull_contains_every_oracle_wall(total):
     for w in walls:
         lo, hi = walls_module._center_hull(ctx, w.circle.radius_sq)
         assert lo <= w.circle.center <= hi, w
+
+
+def _reference_scan_torsion_members(ctx: walls_module._WallContext, sink: dict) -> None:
+    """The torsion-member scan as it stood with Fraction windows."""
+    rv, cv = ctx.rv, ctx.cv
+    if ctx.delta < 1:
+        return
+    for c in range(1, math.isqrt(ctx.delta - 1) + 1):
+        disc_side = ctx.d_v - Fraction((cv - c) ** 2, 2 * rv)
+        adm_side = Fraction(c * (cv - c), rv)
+        lo, hi = (disc_side, adm_side) if rv > 0 else (adm_side, disc_side)
+        walls_module._row_walls(
+            ctx, sink, 0, c, range(math.ceil(2 * lo), math.floor(2 * hi) + 1)
+        )
+
+
+def _reference_scan_rank(
+    ctx: walls_module._WallContext, sink: dict, r: int, t_hi: Fraction
+) -> None:
+    """The rank scan as it stood with Fraction windows."""
+    rv = ctx.rv
+    window = walls_module._center_hull(ctx, t_hi)
+    im_hi = max(ctx.cv - rv * C for C in window)
+    ends = (window[0] * r, window[1] * r)
+    for c in range(math.ceil(min(ends)), math.floor(max(ends) + im_hi) + 1):
+        k1 = rv * c - r * ctx.cv
+        d_ends = [(C * k1 + r * ctx.d_v) / rv for C in window]
+        Ds = range(math.ceil(2 * min(d_ends)), math.floor(2 * max(d_ends)) + 1)
+        walls_module._row_walls(ctx, sink, r, c, Ds)
+
+
+def _reference_scan_rank_zero_total(
+    ctx: walls_module._WallContext, sink: dict, t_stop: Fraction
+) -> None:
+    """The rank-zero scan as it stood with Fraction windows."""
+    cv = ctx.cv
+    if cv <= 0:
+        return
+    if t_stop <= 0:
+        raise WallSearchError(
+            "cannot certify a finite search for this rank-zero class "
+            "(no vacuity disc); pass explicit SearchBounds"
+        )
+    center = walls_module._center_hull(ctx, t_stop)[0]
+    r = 1
+    while Fraction(cv * cv, 4 * r * r) > t_stop:
+        t_hi = Fraction(cv * cv, 4 * r * r)
+        for rr in (r, -r):
+            for c in range(math.floor(center * rr), math.ceil(center * rr + cv) + 1):
+                k1 = -rr * cv
+                d_ends = [
+                    (c * ctx.Dv + k1 * (center * center - t)) / cv
+                    for t in (Fraction(0), t_hi)
+                ]
+                Ds = range(math.ceil(min(d_ends)), math.floor(max(d_ends)) + 1)
+                walls_module._row_walls(ctx, sink, rr, c, Ds)
+        r += 1
+
+
+def _scanned_rows(total: ChernCharacter, reference: bool) -> list:
+    """Every ``(r, c, start, stop)`` the derived search hands to ``_row_walls``,
+    in order, ending in ``"refused"`` when the class is refused.
+
+    The recorder keeps no walls, which the scans never read back.
+    """
+    rows: list = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(
+            walls_module,
+            "_row_walls",
+            lambda ctx, sink, r, c, Ds: rows.append((r, c, Ds.start, Ds.stop)),
+        )
+        if reference:
+            mp.setattr(walls_module, "_scan_torsion_members", _reference_scan_torsion_members)
+            mp.setattr(walls_module, "_scan_rank", _reference_scan_rank)
+            mp.setattr(walls_module, "_scan_rank_zero_total", _reference_scan_rank_zero_total)
+        try:
+            enumerate_tilt_walls(total, REGION)
+        except WallSearchError:
+            rows.append("refused")
+    return rows
+
+
+def _assert_windows_match_reference(total: ChernCharacter) -> int:
+    """Assert the scans hand the reference's rows to the predicate; return
+    how many rows were scanned."""
+    rows = _scanned_rows(total, reference=False)
+    assert rows == _scanned_rows(total, reference=True), total
+    return sum(row != "refused" for row in rows)
+
+
+@given(small_totals())
+@settings(max_examples=60, deadline=None)
+def test_scan_windows_match_fraction_reference_on_small_totals(total):
+    _assert_windows_match_reference(total)
+
+
+@given(rational_totals())
+@settings(max_examples=60, deadline=None)
+def test_scan_windows_match_fraction_reference_on_rational_totals(total):
+    _assert_windows_match_reference(total)
+
+
+#: Negative-rank and rank-zero totals with walls over a wide window: the sign
+#: of ``r_v`` moved into the numerators, and the fixed rank-zero center
+#: ``D_v / (2 c_v)`` with ``c_v`` even and odd.
+SIGNED_TOTALS = [
+    ChernCharacter(-3, -5, Fraction(1, 2), Fraction(67, 6)),
+    ChernCharacter(-2, -6, -3, 19),
+    ChernCharacter(-2, 5, Fraction(-3, 2), Fraction(5, 6)),
+    ChernCharacter(-1, 6, -3, 1),
+    ChernCharacter(-1, 5, Fraction(-5, 2), Fraction(5, 6)),
+    ChernCharacter(0, 6, -9, 7),
+    ChernCharacter(0, 6, -3, 1),
+    ChernCharacter(0, 5, Fraction(-5, 2), Fraction(5, 6)),
+    ChernCharacter(0, 1, Fraction(-1, 2), Fraction(1, 6)),
+]
+
+
+@pytest.mark.parametrize("total", DIFFERENTIAL_TOTALS, ids=str)
+def test_scan_windows_match_fraction_reference(total):
+    _assert_windows_match_reference(total)
+
+
+@pytest.mark.parametrize("total", SIGNED_TOTALS, ids=str)
+def test_scan_windows_match_fraction_reference_on_signed_totals(total):
+    assert _assert_windows_match_reference(total) > 0
+    assert enumerate_tilt_walls(total, Region(-100, 100, 10000))
+
+
+@pytest.mark.parametrize("n", [-3, 0, 2])
+def test_scan_windows_match_fraction_reference_on_curve_classes(n):
+    rows = 0
+    for degree in range(1, 12):
+        for genus in range(20):
+            rows += _assert_windows_match_reference(curve_ideal_ch(degree, genus).twist(n))
+    assert rows > 0
