@@ -71,9 +71,12 @@ def _resolution_term(text: str) -> tuple[int, int]:
             f"expected TWIST:COEFF, got {text!r}"
         )
     try:
-        return int(twist), int(coeff)
+        values = [_parse_rational(part) for part in (twist, coeff)]
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad term {text!r}: {exc}")
+    if any(value.denominator != 1 for value in values):
+        raise argparse.ArgumentTypeError(f"bad term {text!r}: expected integers")
+    return int(values[0]), int(values[1])
 
 
 def _region_from(args: argparse.Namespace) -> Region:

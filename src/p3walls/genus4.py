@@ -9,7 +9,11 @@ dimension arithmetic of the moduli spaces attached to the chambers.  Where
 an input cannot be derived from character arithmetic (an actual cohomology
 dimension, say) the report carries it tagged ``recorded`` and keeps every
 consequence computed from it tagged ``computed``, so the provenance of each
-number stays visible.
+number stays visible.  Each recorded number is written once: the Ext
+dimensions in :data:`EXT_ASSUMPTIONS`, every other one in
+:data:`RECORDED_DIMENSIONS`.  Everything else is derived from those two
+tables, from sections of line bundles, from Euler pairings and from the
+degrees :data:`QUADRIC`, :data:`CUBIC` and :data:`CONIC`.
 
 Two factors dominate the story, the members of the destabilizing pair on
 the second-largest wall:
@@ -46,6 +50,12 @@ from .walls import DEFAULT_REGION, Region, WallCandidate, enumerate_tilt_walls, 
 LINE_FACTOR = "twisted_line_ideal"
 PLANAR_FACTOR = "planar_sheaf"
 
+#: Degrees of the quadric and the cubic that cut out the curve.
+QUADRIC = 2
+CUBIC = 3
+#: Degree of the conic whose ideal, twisted, destabilizes on the ``33/4`` wall.
+CONIC = 2
+
 
 @functools.lru_cache(maxsize=None)
 def canonical_class() -> ChernCharacter:
@@ -55,7 +65,7 @@ def canonical_class() -> ChernCharacter:
     by ``0 -> O(-5) -> O(-2) + O(-3) -> I -> 0``.  The character is immutable,
     so it is built once per process.
     """
-    return from_resolution([(-2, 1), (-3, 1), (-5, -1)])
+    return from_resolution([(-QUADRIC, 1), (-CUBIC, 1), (-(QUADRIC + CUBIC), -1)])
 
 
 def canonical_walls(region: Region = DEFAULT_REGION) -> list[WallCandidate]:
@@ -84,7 +94,7 @@ def destabilizing_pairs() -> dict[Fraction, tuple[ChernCharacter, ChernCharacter
     """
     total = canonical_class()
     inner_sub = line_bundle_ch(-2)
-    conic_sub = curve_ideal_ch(2, 0).twist(1)
+    conic_sub = curve_ideal_ch(CONIC, 0).twist(1)
     line_sub = third_wall_factors()[0]
     return {
         Fraction(4): (inner_sub, total - inner_sub),
@@ -115,6 +125,14 @@ def planar_point_count(plane_twist: int, e: Fraction | int) -> Fraction:
     return Fraction(i * (i + 1), 2) + Fraction(1, 6) - Fraction(e)
 
 
+def _plane_twist(planar: ChernCharacter) -> int:
+    """The ``plane_twist`` of a planar factor: its second component is ``-plane_twist - 1/2``."""
+    twist = -planar.d - Fraction(1, 2)
+    if twist.denominator != 1:
+        raise ArithmeticError(f"{planar} is not a twisted ideal of points on a plane")
+    return int(twist)
+
+
 @dataclass(frozen=True)
 class Refinement:
     """One integral refinement of the line/plane pair on the ``73/4`` wall."""
@@ -134,7 +152,8 @@ def line_plane_refinements() -> list[Refinement]:
     by the third component of the rank-one member.
     """
     total = canonical_class()
-    pure_line = third_wall_factors()[0]
+    pure_line, pure_planar = third_wall_factors()
+    plane_twist = _plane_twist(pure_planar)
     out = []
     k = 0
     while True:
@@ -142,7 +161,7 @@ def line_plane_refinements() -> list[Refinement]:
         line_ch = ChernCharacter(pure_line.r, pure_line.c, pure_line.d, e)
         planar_ch = total - line_ch
         line_pts = rank_one_point_count(1, e)
-        planar_pts = planar_point_count(5, planar_ch.e)
+        planar_pts = planar_point_count(plane_twist, planar_ch.e)
         if planar_pts < 0:
             break
         if not (line_ch.is_integral() and planar_ch.is_integral()):
@@ -205,6 +224,24 @@ EXT_ASSUMPTIONS = (
     (PLANAR_FACTOR, LINE_FACTOR, "ext1", 18),
 )
 
+#: Every other recorded input of :func:`exceptional_ledger`, as
+#: ``(name, dim, note)``: numbers this module cannot derive.  The first four
+#: are ledger entries themselves; the rest are operands of computed entries.
+RECORDED_DIMENSIONS = (
+    ("conic_extension_space_dim", 13, "ext1 from the planar factor to the conic factor"),
+    ("restriction_rank_meets", 4, "rank of the restriction map on the meets stratum"),
+    ("restriction_rank_spanned", 8, "rank of the restriction map on the spanned stratum"),
+    ("wall_sensitive_locus_dim", 10,
+     "objects whose stability changes at the wall; contains the contracted locus"),
+    ("conic_planar_ext1", 1, "ext1 from the conic factor to the planar factor"),
+    ("singular_fiber_dim", 13, "fibers of the singular intersection"),
+    ("singular_stratum_dim", 10, "stratum under the singular intersection"),
+    ("rank_one_matrix_rows", 2, "rows of the matrices whose rank-one locus is the cone's base"),
+    ("rank_one_matrix_cols", 4, "columns of those matrices"),
+    ("degenerate_bundle_base_dim", 10, "bundle base in the degenerate_base_dim note, as stated;"
+     " second_moduli_dim's base is line_family_dim + planar_factor_moduli_dim"),
+)
+
 
 def euler_table() -> dict[tuple[str, str], int]:
     """Euler pairings of the two factors in both orders, computed exactly."""
@@ -225,8 +262,9 @@ def ext_table(stratum: Stratum) -> dict[tuple[str, str], ExtProfile]:
 
     Every ``hom``, ``ext3`` and ``ext1`` entry except the stratum-dependent
     one is read from :data:`EXT_ASSUMPTIONS`, the only place the recorded
-    dimensions live (lines have a 4-parameter family; a plane plus a
-    length-two planar subscheme has ``3 + 4 = 7``).  Each complete entry's
+    Ext dimensions live (a factor's ``ext1`` with itself is the dimension of
+    its family, ``line_family_dim`` and ``planar_factor_moduli_dim`` in
+    :func:`exceptional_ledger`).  Each complete entry's
     ``ext2`` is then forced by the computed Euler pairing.  The
     ``(line, planar)`` entry has the incidence defect as ``ext1`` and keeps
     ``ext2`` and ``ext3`` undetermined: only ``ext2 - ext3`` is pinned, see
@@ -308,15 +346,25 @@ def extension_ext1_bound(sub_sub: int, quot_quot: int, sub_quot: int, quot_sub: 
     return sub_sub + quot_quot + sub_quot + quot_sub - 1
 
 
+def _ext1_corners() -> tuple[int, int, int]:
+    """Recorded ``ext1`` of (line, line), (planar, planar) and (planar, line)."""
+    ext1 = {(a, b): dim for a, b, group, dim in EXT_ASSUMPTIONS if group == "ext1"}
+    return (ext1[(LINE_FACTOR, LINE_FACTOR)], ext1[(PLANAR_FACTOR, PLANAR_FACTOR)],
+            ext1[(PLANAR_FACTOR, LINE_FACTOR)])
+
+
 def stratum_ext1_dim(incidence_defect: int) -> int:
     """Total ``ext1(E, E)`` dimension over the stratum with the given defect.
 
-    The four corners contribute ``4 + 7 + defect + 18``, minus one for the
-    projectivized extension; only defects 0, 1, 2 occur.
+    The four corners are the three recorded ``ext1`` dimensions of
+    :data:`EXT_ASSUMPTIONS` and the defect, minus one for the projectivized
+    extension; only the defects of :class:`Stratum` occur.
     """
-    if incidence_defect not in (0, 1, 2):
-        raise ValueError(f"incidence defect must be 0, 1 or 2, got {incidence_defect}")
-    return extension_ext1_bound(4, 7, incidence_defect, 18)
+    defects = [stratum.incidence_defect for stratum in Stratum]
+    if incidence_defect not in defects:
+        raise ValueError(f"incidence defect must be one of {defects}, got {incidence_defect}")
+    line, planar, cross = _ext1_corners()
+    return extension_ext1_bound(line, planar, incidence_defect, cross)
 
 
 @dataclass(frozen=True)
@@ -329,6 +377,7 @@ class LedgerEntry:
     note: str
 
 
+@functools.lru_cache(maxsize=None)
 def _h0(twist: int) -> int:
     """Sections of a line bundle on projective 3-space, via the Euler pairing."""
     value = euler_pairing(line_bundle_ch(0), line_bundle_ch(twist))
@@ -345,96 +394,106 @@ def exceptional_ledger() -> list[LedgerEntry]:
     the second space is a projective bundle of extensions over the
     line-plus-planar-sheaf moduli; its singular strata and the degenerate
     cone geometry account for the remaining numbers.
+
+    Recorded values are read from :data:`EXT_ASSUMPTIONS` (the ``ext1``
+    dimensions) and :data:`RECORDED_DIMENSIONS` (all others).  Computed values
+    come from those, from :func:`_h0`, from Euler pairings and from the
+    degrees of the quadric, cubic and conic, and every note that states a
+    number is formatted from the values it explains.
     """
-    quadrics = _h0(2) - 1
-    cubics_on_quadric = _h0(3) - _h0(1)
+    recorded = {name: LedgerEntry(name, dim, "recorded", note)
+                for name, dim, note in RECORDED_DIMENSIONS}
+    dims = {name: entry.value for name, entry in recorded.items()}
+    ext_line, ext_planar, ext_cross = _ext1_corners()
+    # projective 3-space, and its dual: the planes; a plane, and its dual: its lines
+    space = _h0(1) - 1
+    plane = space - 1
+    quadrics = _h0(QUADRIC) - 1
+    cubics_on_quadric = _h0(CUBIC) - _h0(CUBIC - QUADRIC)
     first = proj_bundle_dim(quadrics, cubics_on_quadric)
     chi_vv = euler_pairing(canonical_class(), canonical_class())
     if chi_vv.denominator != 1:
         raise ArithmeticError(f"chi(v, v) = {chi_vv} is not an integer")
     smooth_moduli = 1 - int(chi_vv)
-    conics = 3 + (6 - 1)  # plane choice + conics within the plane
-    center = conics + 3
-    exc_fiber = 13 - 1
-    exceptional = exc_fiber + center
-    lines = 4
-    planar = 3 + 4
-    base = lines + planar
-    second = proj_bundle_dim(base, 18)
-    spanned_kernel = 18 - 8
-    meets_kernel = 18 - 4
+    conics_in_plane = _h0(CONIC) - _h0(CONIC - 1) - 1  # sections on a plane, projectivized
+    conics = space + conics_in_plane
+    center = conics + space  # the residual factor is a twisted plane
+    conic_ext = dims["conic_extension_space_dim"]
+    planar_factor = third_wall_factors()[1]
+    # length-n subschemes: dimension 2n on a plane, n on a line
+    points = int(planar_point_count(_plane_twist(planar_factor), planar_factor.e))
+    planar = space + points * plane
+    # the diagonal corners are the tangent dimensions of the factors' families
+    conic_corners = (conics, space, dims["conic_planar_ext1"], conic_ext)
+    meets_rank, spanned_rank = dims["restriction_rank_meets"], dims["restriction_rank_spanned"]
+    spanned_kernel = ext_cross - spanned_rank
     vertex = spanned_kernel - 1
-    segre = 1 + 3
-    cone_fiber = vertex + segre + 1
-    intersection = 13 + 10
-    nested_config = 3 + 2 + 2  # plane, line in it, length-two subscheme on the line
-    entries = [
-        LedgerEntry("quadric_family_dim", quadrics, "computed",
-                    "h0(O(2)) - 1 = 10 - 1"),
-        LedgerEntry("cubic_system_dim", cubics_on_quadric, "computed",
-                    "h0(O(3)) - h0(O(1)) = 20 - 4 on the quadric"),
-        LedgerEntry("first_moduli_dim", first, "computed",
-                    "projective bundle: 9 + (16 - 1)"),
-        LedgerEntry("wall_side_moduli_dim", smooth_moduli, "computed",
-                    "1 - chi(v, v) for a smooth moduli of simple objects;"
-                    " agrees with the bundle picture"),
-        LedgerEntry("conic_family_dim", conics, "computed",
-                    "plane choice 3 + conics in the plane 5"),
-        LedgerEntry("blowup_center_dim", center, "computed",
-                    "conic family 8 + residual plane twist family 3"),
-        LedgerEntry("conic_extension_space_dim", 13, "recorded",
-                    "ext1 from the planar factor to the conic factor"),
-        LedgerEntry("exceptional_divisor_dim", exceptional, "computed",
-                    "fiber (13 - 1) over the 11-dimensional center"),
-        LedgerEntry("divisor_check", first - 1, "computed",
-                    "codimension one in the 24-dimensional space: 23"),
-        LedgerEntry("line_family_dim", lines, "recorded",
-                    "lines in projective 3-space"),
-        LedgerEntry("planar_factor_moduli_dim", planar, "computed",
-                    "plane choice 3 + two points in the plane 4"),
-        LedgerEntry("extension_space_dim", 18, "recorded",
+    rows, cols = dims["rank_one_matrix_rows"], dims["rank_one_matrix_cols"]
+    segre = (rows - 1) + (cols - 1)
+    fiber, stratum = dims["singular_fiber_dim"], dims["singular_stratum_dim"]
+    nested_config = space + plane + points  # plane, line in it, subscheme on the line
+
+    def entry(name: str, value: int, note: str) -> LedgerEntry:
+        return LedgerEntry(name, value, "computed", note)
+
+    def ext1_bound(name: str, *corners: int) -> LedgerEntry:
+        return entry(name, extension_ext1_bound(*corners), " + ".join(map(str, corners)) + " - 1")
+
+    return [
+        entry("quadric_family_dim", quadrics, f"h0(O({QUADRIC})) - 1 = {_h0(QUADRIC)} - 1"),
+        entry("cubic_system_dim", cubics_on_quadric,
+              f"h0(O({CUBIC})) - h0(O({CUBIC - QUADRIC}))"
+              f" = {_h0(CUBIC)} - {_h0(CUBIC - QUADRIC)} on the quadric"),
+        entry("first_moduli_dim", first,
+              f"projective bundle: {quadrics} + ({cubics_on_quadric} - 1)"),
+        entry("wall_side_moduli_dim", smooth_moduli,
+              "1 - chi(v, v) for a smooth moduli of simple objects;"
+              " agrees with the bundle picture"),
+        entry("conic_family_dim", conics,
+              f"plane choice {space} + conics in the plane {conics_in_plane}"),
+        entry("blowup_center_dim", center,
+              f"conic family {conics} + residual plane twist family {space}"),
+        recorded["conic_extension_space_dim"],
+        entry("exceptional_divisor_dim", proj_bundle_dim(center, conic_ext),
+              f"fiber ({conic_ext} - 1) over the {center}-dimensional center"),
+        entry("divisor_check", first - 1,
+              f"codimension one in the {first}-dimensional space: {first - 1}"),
+        LedgerEntry("line_family_dim", ext_line, "recorded", f"lines in projective {space}-space"),
+        entry("planar_factor_moduli_dim", planar,
+              f"plane choice {space} + two points in the plane {points * plane}"),
+        LedgerEntry("extension_space_dim", ext_cross, "recorded",
                     "ext1 from the planar factor to the twisted line ideal"),
-        LedgerEntry("second_moduli_dim", second, "computed",
-                    "projective bundle: (4 + 7) + (18 - 1)"),
-        LedgerEntry("ext1_bound_conic_wall", extension_ext1_bound(8, 3, 1, 13),
-                    "computed", "8 + 3 + 1 + 13 - 1"),
-        LedgerEntry("ext1_bound_line_plane_wall", extension_ext1_bound(4, 7, 2, 18),
-                    "computed", "4 + 7 + 2 + 18 - 1"),
-        LedgerEntry("stratum_ext1_defect0", stratum_ext1_dim(0), "computed",
-                    "4 + 7 + 0 + 18 - 1"),
-        LedgerEntry("stratum_ext1_defect1", stratum_ext1_dim(1), "computed",
-                    "4 + 7 + 1 + 18 - 1"),
-        LedgerEntry("stratum_ext1_defect2", stratum_ext1_dim(2), "computed",
-                    "4 + 7 + 2 + 18 - 1"),
-        LedgerEntry("restriction_rank_meets", 4, "recorded",
-                    "rank of the restriction map on the meets stratum"),
-        LedgerEntry("restriction_rank_spanned", 8, "recorded",
-                    "rank of the restriction map on the spanned stratum"),
-        LedgerEntry("kernel_meets_dim", meets_kernel, "computed", "18 - 4"),
-        LedgerEntry("kernel_spanned_dim", spanned_kernel, "computed", "18 - 8"),
-        LedgerEntry("singular_intersection_dim", intersection, "computed",
-                    "13-dimensional fibers over the 10-dimensional stratum"),
-        LedgerEntry("wall_sensitive_locus_dim", 10, "recorded",
-                    "objects whose stability changes at the wall;"
-                    " contains the contracted locus"),
-        LedgerEntry("small_locus_image_dim", nested_config, "computed",
-                    "plane 3 + line in the plane 2 + length-two subscheme"
-                    " on the line 2"),
-        LedgerEntry("small_locus_dim", 1 + nested_config, "computed",
-                    "a projective line's worth of extensions over the"
-                    " 7-dimensional configuration image"),
-        LedgerEntry("cone_vertex_dim", vertex, "computed",
-                    "projectivized 10-dimensional kernel: 9"),
-        LedgerEntry("rank_one_locus_dim", segre, "computed",
-                    "projectivized rank-one 2-by-4 matrices:"
-                    " a line's worth times a 3-space's worth"),
-        LedgerEntry("cone_fiber_dim", cone_fiber, "computed",
-                    "join of the 9-dimensional vertex and 4-dimensional base"),
-        LedgerEntry("degenerate_base_dim", nested_config, "computed",
-                    "the same nested configurations, inside the 10-dimensional"
-                    " bundle base"),
+        entry("second_moduli_dim", proj_bundle_dim(ext_line + planar, ext_cross),
+              f"projective bundle: ({ext_line} + {planar}) + ({ext_cross} - 1)"),
+        ext1_bound("ext1_bound_conic_wall", *conic_corners),
+        ext1_bound("ext1_bound_line_plane_wall",
+                   ext_line, ext_planar, Stratum.SPANNED.incidence_defect, ext_cross),
+        *(ext1_bound(f"stratum_ext1_defect{s.incidence_defect}",
+                     ext_line, ext_planar, s.incidence_defect, ext_cross) for s in Stratum),
+        recorded["restriction_rank_meets"],
+        recorded["restriction_rank_spanned"],
+        entry("kernel_meets_dim", ext_cross - meets_rank, f"{ext_cross} - {meets_rank}"),
+        entry("kernel_spanned_dim", spanned_kernel, f"{ext_cross} - {spanned_rank}"),
+        entry("singular_intersection_dim", fiber + stratum,
+              f"{fiber}-dimensional fibers over the {stratum}-dimensional stratum"),
+        recorded["wall_sensitive_locus_dim"],
+        entry("small_locus_image_dim", nested_config,
+              f"plane {space} + line in the plane {plane} + length-two subscheme"
+              f" on the line {points}"),
+        entry("small_locus_dim", 1 + nested_config,
+              "a projective line's worth of extensions over the"
+              f" {nested_config}-dimensional configuration image"),
+        entry("cone_vertex_dim", vertex,
+              f"projectivized {spanned_kernel}-dimensional kernel: {vertex}"),
+        entry("rank_one_locus_dim", segre,
+              f"projectivized rank-one {rows}-by-{cols} matrices:"
+              f" a line's worth times a {cols - 1}-space's worth"),
+        entry("cone_fiber_dim", vertex + segre + 1,
+              f"join of the {vertex}-dimensional vertex and {segre}-dimensional base"),
+        entry("degenerate_base_dim", nested_config,
+              "the same nested configurations, inside the"
+              f" {dims['degenerate_bundle_base_dim']}-dimensional bundle base"),
     ]
-    return entries
 
 
 def narrative() -> list[dict]:

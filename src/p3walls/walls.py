@@ -620,7 +620,8 @@ def _scan_rank_zero_total(ctx: _WallContext, sink: dict, t_stop: Fraction) -> No
 
     All slope-equality circles share the center ``d_v / c_v``, and a member
     of rank ``r`` forces ``2 |r| rho <= c_v``, so the rank loop is closed by
-    the certified vacuity radius alone.
+    the certified vacuity radius alone.  The caller has already returned for
+    ``c_v <= 0`` and refused a class with ``t_stop <= 0``.
 
     The windows are decided on integers from the center ``C = n / q`` of
     :func:`_center_hull`: from
@@ -630,13 +631,6 @@ def _scan_rank_zero_total(ctx: _WallContext, sink: dict, t_stop: Fraction) -> No
     ``4 r^2 c_v q^2``.
     """
     cv, Dv = ctx.cv, ctx.Dv
-    if cv <= 0:
-        return  # the imaginary part of v is c_v everywhere: no admissible tops
-    if t_stop <= 0:
-        raise WallSearchError(
-            "cannot certify a finite search for this rank-zero class "
-            "(no vacuity disc); pass explicit SearchBounds"
-        )
     center = _center_hull(ctx, t_stop)[0]
     n, q = center.numerator, center.denominator
     r = 1
@@ -690,23 +684,27 @@ def enumerate_tilt_walls(
     explicit bounds instead of guessing.  A nonpositive discriminant admits
     no circle walls at all (negative is incompatible with discriminant
     additivity; zero forces any equal-slope pair onto a vertical locus), so
-    those return ``[]`` at once.
+    those return ``[]`` at once, as does a rank-zero class with ``c_v <= 0``.
     """
     if bounds is not None:
         return brute_force_walls(v, region, bounds)
     ctx = _WallContext(v, region)
     if ctx.delta <= 0:
         return []
-    found: dict = {}
+    if ctx.rv == 0 and ctx.cv <= 0:
+        return []  # the imaginary part of v is c_v everywhere: no admissible tops
     t_stop = _vacuity_radius_cap(ctx)
+    if t_stop <= 0:
+        if ctx.rv == 0:
+            reason = "cannot certify a finite search for this rank-zero class (no vacuity disc)"
+        else:
+            reason = ("cannot certify termination for this class (no vacuity disc below"
+                      " the candidate circles)")
+        raise WallSearchError(f"{reason}; pass explicit SearchBounds")
+    found: dict = {}
     if ctx.rv == 0:
         _scan_rank_zero_total(ctx, found, t_stop)
         return _sorted_walls(found)
-    if t_stop <= 0:
-        raise WallSearchError(
-            "cannot certify termination for this class (no vacuity disc below "
-            "the candidate circles); pass explicit SearchBounds"
-        )
     _scan_torsion_members(ctx, found)
     sign = 1 if ctx.rv > 0 else -1
     for k in range(1, abs(ctx.rv)):  # member ranks strictly between 0 and r_v

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from p3walls import genus4
+from p3walls.chern import format_chern, from_resolution
 from p3walls.cli import build_parser, run
 from p3walls.plotting import build_scene
 from p3walls.walls import DEFAULT_REGION, Region
@@ -235,6 +236,29 @@ def test_rationals_outside_p_over_q_are_usage_errors(capsys, argv):
     elapsed = time.perf_counter() - start
     assert code == 2 and out == "" and "invalid rational" in err
     assert elapsed < 0.1
+
+
+@pytest.mark.parametrize(
+    "term",
+    ["--term=\u0661:1", "--term=1_0:1", "--term= 2:1", "--term=2:\u0661", "--term=1/2:1"],
+    ids=["non-ascii-twist", "underscore", "space", "non-ascii-coeff", "fraction"],
+)
+def test_resolution_terms_outside_the_integer_grammar_are_usage_errors(capsys, term):
+    start = time.perf_counter()
+    code, out, err = invoke(capsys, "chern", "resolve", term)
+    elapsed = time.perf_counter() - start
+    assert code == 2 and out == "" and "bad term" in err
+    assert elapsed < 0.1
+
+
+def test_resolution_terms_keep_their_values(capsys):
+    # every term the headline benchmark sends, plus explicit signs
+    for twist in range(-6, 4):
+        for coeff in (-2, -1, 1, 2):
+            code, out, _ = invoke(capsys, "chern", "resolve", f"--term={twist}:{coeff}")
+            assert (code, out.strip()) == (0, format_chern(from_resolution([(twist, coeff)])))
+    code, out, _ = invoke(capsys, "chern", "resolve", "--term=-6:-2", "--term=+3:+2")
+    assert (code, out.strip()) == (0, "0,18,-27,81")
 
 
 def test_plot_writes_deterministic_svg(tmp_path, capsys):

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
+import ast
 import dataclasses
+import inspect
 import json
+import textwrap
 from fractions import Fraction
 from pathlib import Path
 
@@ -263,3 +266,122 @@ def test_report_builds_euler_table_and_ledger_once(fmt, monkeypatch):
         monkeypatch.setattr(genus4, name, counted)
     genus4.report(fmt)
     assert calls == {"euler_table": 1, "exceptional_ledger": 1}
+
+
+L, P = genus4.LINE_FACTOR, genus4.PLANAR_FACTOR
+
+#: Ledger entries that must move when one recorded ``ext1`` is raised by one.
+EXT1_DEPENDENTS = {
+    (L, L): {"line_family_dim", "second_moduli_dim", "ext1_bound_line_plane_wall",
+             "stratum_ext1_defect0", "stratum_ext1_defect1", "stratum_ext1_defect2"},
+    (P, P): {"ext1_bound_line_plane_wall",
+             "stratum_ext1_defect0", "stratum_ext1_defect1", "stratum_ext1_defect2"},
+    (P, L): {"extension_space_dim", "second_moduli_dim", "ext1_bound_line_plane_wall",
+             "stratum_ext1_defect0", "stratum_ext1_defect1", "stratum_ext1_defect2",
+             "kernel_meets_dim", "kernel_spanned_dim", "cone_vertex_dim", "cone_fiber_dim"},
+}
+
+#: Ledger entries that must move when one row of ``RECORDED_DIMENSIONS`` is
+#: raised by one; the bundle base of the last row appears only in a note.
+RECORDED_DEPENDENTS = {
+    "conic_extension_space_dim": {"conic_extension_space_dim", "exceptional_divisor_dim",
+                                  "ext1_bound_conic_wall"},
+    "restriction_rank_meets": {"restriction_rank_meets", "kernel_meets_dim"},
+    "restriction_rank_spanned": {"restriction_rank_spanned", "kernel_spanned_dim",
+                                 "cone_vertex_dim", "cone_fiber_dim"},
+    "wall_sensitive_locus_dim": {"wall_sensitive_locus_dim"},
+    "conic_planar_ext1": {"ext1_bound_conic_wall"},
+    "singular_fiber_dim": {"singular_intersection_dim"},
+    "singular_stratum_dim": {"singular_intersection_dim"},
+    "rank_one_matrix_rows": {"rank_one_locus_dim", "cone_fiber_dim"},
+    "rank_one_matrix_cols": {"rank_one_locus_dim", "cone_fiber_dim"},
+    "degenerate_bundle_base_dim": {"degenerate_base_dim"},
+}
+
+
+def _moved_entries(before: list, after: list) -> tuple[set, set]:
+    """Names whose entry changed at all, and names whose value changed."""
+    assert [entry.name for entry in before] == [entry.name for entry in after]
+    pairs = list(zip(before, after))
+    return ({a.name for a, b in pairs if a != b},
+            {a.name for a, b in pairs if a.value != b.value})
+
+
+@pytest.mark.parametrize("pair", list(EXT1_DEPENDENTS), ids="|".join)
+def test_ledger_follows_each_recorded_ext1(pair, monkeypatch):
+    before = genus4.exceptional_ledger()
+    edited = tuple(
+        (a, b, group, dim + 1 if (a, b, group) == (*pair, "ext1") else dim)
+        for a, b, group, dim in genus4.EXT_ASSUMPTIONS
+    )
+    monkeypatch.setattr(genus4, "EXT_ASSUMPTIONS", edited)
+    moved, moved_values = _moved_entries(before, genus4.exceptional_ledger())
+    assert moved == moved_values == EXT1_DEPENDENTS[pair]
+
+
+def test_every_recorded_input_has_dependents():
+    ext1_pairs = {(a, b) for a, b, group, _ in genus4.EXT_ASSUMPTIONS if group == "ext1"}
+    assert ext1_pairs == set(EXT1_DEPENDENTS)
+    assert [name for name, _, _ in genus4.RECORDED_DIMENSIONS] == list(RECORDED_DEPENDENTS)
+
+
+@pytest.mark.parametrize("name", list(RECORDED_DEPENDENTS))
+def test_ledger_follows_each_recorded_dimension(name, monkeypatch):
+    before = genus4.exceptional_ledger()
+    edited = tuple(
+        (row, dim + 1 if row == name else dim, note)
+        for row, dim, note in genus4.RECORDED_DIMENSIONS
+    )
+    monkeypatch.setattr(genus4, "RECORDED_DIMENSIONS", edited)
+    moved, moved_values = _moved_entries(before, genus4.exceptional_ledger())
+    assert moved == RECORDED_DEPENDENTS[name]
+    # the one note-only input: the value stays the nested configuration count
+    assert moved_values == (set() if name == "degenerate_bundle_base_dim" else moved)
+
+
+def test_recorded_ledger_entries_read_their_table_row():
+    ledger = {entry.name: entry for entry in genus4.exceptional_ledger()}
+    recorded = {name for name, entry in ledger.items() if entry.how == "recorded"}
+    rows = {name: (dim, note) for name, dim, note in genus4.RECORDED_DIMENSIONS}
+    ext1 = {(a, b): dim for a, b, group, dim in genus4.EXT_ASSUMPTIONS if group == "ext1"}
+    assert recorded == {name for name in rows if name in ledger} | {
+        "line_family_dim", "extension_space_dim"}
+    for name in recorded & set(rows):
+        assert (ledger[name].value, ledger[name].note) == rows[name]
+    assert ledger["line_family_dim"].value == ext1[(L, L)]
+    assert ledger["extension_space_dim"].value == ext1[(P, L)]
+    # the computed family of the planar factor is the recorded tangent dimension
+    assert ledger["planar_factor_moduli_dim"].value == ext1[(P, P)]
+
+
+def test_stratum_ext1_dim_follows_edited_assumptions(monkeypatch):
+    edited = tuple(
+        (a, b, group, dim + 1 if (a, b, group) == (P, L, "ext1") else dim)
+        for a, b, group, dim in genus4.EXT_ASSUMPTIONS
+    )
+    monkeypatch.setattr(genus4, "EXT_ASSUMPTIONS", edited)
+    assert [genus4.stratum_ext1_dim(k) for k in (0, 1, 2)] == [29, 30, 31]
+
+
+def test_ledger_notes_follow_the_degrees(monkeypatch):
+    # a hypothetical quartic in place of the cubic: the notes show the new h0;
+    # the cached total class is built from the true degrees first
+    genus4.canonical_class()
+    monkeypatch.setattr(genus4, "CUBIC", 4)
+    ledger = {entry.name: entry for entry in genus4.exceptional_ledger()}
+    assert ledger["cubic_system_dim"].value == 35 - 10
+    assert ledger["cubic_system_dim"].note == "h0(O(4)) - h0(O(2)) = 35 - 10 on the quadric"
+    assert ledger["first_moduli_dim"].note == "projective bundle: 9 + (25 - 1)"
+
+
+def _literals_above_one(function) -> list[int]:
+    tree = ast.parse(textwrap.dedent(inspect.getsource(function)))
+    return [
+        node.value for node in ast.walk(tree.body[0])
+        if isinstance(node, ast.Constant) and type(node.value) is int and node.value > 1
+    ]
+
+
+@pytest.mark.parametrize("name", ["exceptional_ledger", "stratum_ext1_dim"])
+def test_no_recorded_number_is_typed_into_the_ledger(name):
+    assert _literals_above_one(getattr(genus4, name)) == []

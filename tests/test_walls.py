@@ -439,6 +439,18 @@ def test_refusal_comes_before_any_scan(total, monkeypatch):
         enumerate_tilt_walls(total, REGION)
 
 
+def test_rank_zero_exits_are_decided_before_the_scan(monkeypatch):
+    def fail(*args):
+        raise AssertionError("scanned or certified a class decided without either")
+
+    monkeypatch.setattr(walls_module, "_scan_rank_zero_total", fail)
+    with pytest.raises(WallSearchError, match="rank-zero"):
+        enumerate_tilt_walls(REFUSED_TOTALS[2], REGION)
+    # c_v < 0 leaves no admissible top: no certificate is computed either
+    monkeypatch.setattr(walls_module, "_vacuity_radius_cap", fail)
+    assert enumerate_tilt_walls(-REFUSED_TOTALS[2], REGION) == []
+
+
 @given(rational_totals())
 @example(ChernCharacter(2, 0, 1, 0))  # disc(v) < 0
 @example(ChernCharacter(1, 0, 0, 0))  # disc(v) = 0
