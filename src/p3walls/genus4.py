@@ -44,7 +44,7 @@ from .chern import (
     from_resolution,
     line_bundle_ch,
 )
-from .walls import DEFAULT_REGION, Region, WallCandidate, enumerate_tilt_walls, wall_to_dict
+from .walls import DEFAULT_REGION, WallCandidate, enumerate_tilt_walls, wall_to_dict
 
 #: Keys naming the two factors in Euler and Ext tables.
 LINE_FACTOR = "twisted_line_ideal"
@@ -68,9 +68,15 @@ def canonical_class() -> ChernCharacter:
     return from_resolution([(-QUADRIC, 1), (-CUBIC, 1), (-(QUADRIC + CUBIC), -1)])
 
 
-def canonical_walls(region: Region = DEFAULT_REGION) -> list[WallCandidate]:
-    """The walls of the canonical class over the window, outermost first."""
-    return enumerate_tilt_walls(canonical_class(), region)
+@functools.lru_cache(maxsize=None)
+def canonical_walls() -> tuple[WallCandidate, ...]:
+    """The walls of the canonical class over ``DEFAULT_REGION``, outermost first.
+
+    The class and the window are fixed, so the certified search runs once
+    per process; the tuple keeps callers from editing the shared result.
+    Everything else in :func:`report` is rebuilt on every call.
+    """
+    return tuple(enumerate_tilt_walls(canonical_class(), DEFAULT_REGION))
 
 
 def third_wall_factors() -> tuple[ChernCharacter, ChernCharacter]:

@@ -12,7 +12,7 @@ import pytest
 
 from p3walls import genus4
 from p3walls.chern import ChernCharacter, curve_ideal_ch, euler_pairing
-from p3walls.walls import Circle
+from p3walls.walls import DEFAULT_REGION, Circle, enumerate_tilt_walls
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -30,6 +30,24 @@ def test_canonical_walls():
         Circle(Fraction(-9, 2), Fraction(33, 4)),
         Circle(Fraction(-4), Fraction(4)),
     ]
+
+
+def test_canonical_walls_are_searched_once():
+    walls = genus4.canonical_walls()
+    assert isinstance(walls, tuple)
+    assert genus4.canonical_walls() is walls
+    assert walls == tuple(enumerate_tilt_walls(genus4.canonical_class(), DEFAULT_REGION))
+
+
+@pytest.mark.parametrize("fmt, name", [("text", "genus4_report.txt"), ("json", "genus4_report.json")])
+def test_report_reuses_the_cached_walls(fmt, name, monkeypatch):
+    genus4.report()
+
+    def fail(*args):
+        raise AssertionError("the canonical walls were searched again")
+
+    monkeypatch.setattr(genus4, "enumerate_tilt_walls", fail)
+    assert (genus4.report(fmt) + "\n").encode("utf-8") == (GOLDEN / name).read_bytes()
 
 
 def test_destabilizing_pairs_sum_to_total():

@@ -10,7 +10,9 @@ import p3walls
 # Importing the package must leave nothing behind that outlives its modules:
 # a module-level typing alias such as ``Union[A, B]`` is memoized by typing
 # for the life of the process, and through the classes' methods it keeps the
-# whole module dict of every import alive.
+# whole module dict of every import alive.  The module-level caches
+# (``canonical_class``, ``canonical_walls``, ``_h0``, ``build_parser``) are
+# filled first: what they hold must die with the modules too.
 REIMPORT = textwrap.dedent(
     """
     import gc
@@ -18,13 +20,19 @@ REIMPORT = textwrap.dedent(
     import weakref
 
     import p3walls.chern
+    import p3walls.cli
+    import p3walls.genus4
     import p3walls.stability
     import p3walls.walls
 
+    p3walls.genus4.report()
+    p3walls.cli.build_parser()
     refs = [
         weakref.ref(p3walls.walls.Circle),
         weakref.ref(p3walls.chern.ChernTruncation),
         weakref.ref(p3walls.stability.TiltPoint),
+        weakref.ref(p3walls.walls.WallCandidate),
+        weakref.ref(p3walls.genus4.Refinement),
     ]
     for name in [n for n in sys.modules if n == "p3walls" or n.startswith("p3walls.")]:
         del sys.modules[name]

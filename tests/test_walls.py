@@ -499,6 +499,44 @@ def test_walls_are_twist_equivariant(total, n):
     assert _walls_as_set(total.twist(n), shifted) == expected
 
 
+def _assert_walls_are_dual_equivariant(total: ChernCharacter) -> None:
+    # The derived dual ch(E^v[1]) = (-r, c, -d, e) with beta -> -beta is an
+    # exact symmetry of the wall predicate: each circle is reflected (center
+    # negated, radius kept) and each member is mapped by the same involution.
+    # The search treats the sign of r_v in separate branches, so this pins
+    # them against each other; REGION is not symmetric about beta = 0.
+    dual = ChernCharacter(-total.r, total.c, -total.d, total.e)
+    mirror = Region(-REGION.beta_max, -REGION.beta_min, REGION.alpha_sq_max)
+    expected = _walls_as_set(total, REGION)
+    if expected is not None:
+        expected = {
+            (-center, radius_sq, frozenset(ChernTruncation(-m.r, m.c, -m.d) for m in pair))
+            for center, radius_sq, pair in expected
+        }
+    assert _walls_as_set(dual, mirror) == expected
+
+
+@pytest.mark.parametrize("total", TWIST_TOTALS, ids=str)
+def test_walls_are_derived_dual_equivariant(total):
+    _assert_walls_are_dual_equivariant(total)
+
+
+@st.composite
+def twisted_curve_classes(draw) -> ChernCharacter:
+    degree, genus = draw(st.integers(1, 8)), draw(st.integers(-3, 12))
+    return curve_ideal_ch(degree, genus).twist(draw(st.integers(-3, 5)))
+
+
+# Most rational_totals are refused or wall-free over the window; the curve
+# classes carry walls through it.
+@given(st.one_of(rational_totals(), twisted_curve_classes()))
+@example(ChernCharacter(2, 0, -50, 300))
+@example(ChernCharacter(-2, -6, -3, 19))
+@settings(max_examples=150, deadline=None)
+def test_walls_are_derived_dual_equivariant_on_random_classes(total):
+    _assert_walls_are_dual_equivariant(total)
+
+
 def test_wall_to_dict():
     wall = enumerate_tilt_walls(V, REGION)[0]
     payload = wall_to_dict(wall)
