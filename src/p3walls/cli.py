@@ -252,10 +252,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _reject_dropped_values(parser: argparse.ArgumentParser, args: argparse.Namespace) -> None:
+    """Before Python 3.13, argparse drops the value of ``--opt=--`` without
+    calling the option's type and stores an empty list; report it as the
+    usage error later versions raise."""
+    for name, value in vars(args).items():
+        if isinstance(value, list) and (not value or [] in value):
+            parser.error(f"argument --{name.replace('_', '-')}: invalid value '--'")
+
+
 def run(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        _reject_dropped_values(parser, args)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

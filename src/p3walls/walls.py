@@ -42,8 +42,11 @@ is what makes a finite, certified enumeration possible; see
 :func:`enumerate_tilt_walls` for the derived search bounds.
 
 Both searches decide the predicate one row ``(r, c)`` at a time, computing
-what depends only on the row once (:func:`_row_walls`).  A class whose
-search cannot be certified finite is refused before any row is scanned.
+what depends only on the row once (:func:`_row_walls`).  The derived search
+first clips each row's window to the ``2d`` that pass the predicate's tests
+linear in ``2d`` (:func:`_clip_window`); the exhaustive scan feeds whole
+rows.  A class whose search cannot be certified finite is refused before
+any row is scanned.
 """
 
 from __future__ import annotations
@@ -400,28 +403,49 @@ class _WallContext:
             )
 
 
+def _row_lines(ctx: _WallContext, r: int, c: int, k1: int) -> tuple:
+    """The four tests of the wall predicate that are linear in ``D = 2d`` on
+    the row ``(r, c)`` with ``k1 = r_v c - r c_v != 0``, as the flat tuple
+    ``(a0, b0, ..., a3, b3)`` of the half-lines ``a D >= b``.
+
+    The top of the circle is ``beta = K2 / m`` with ``m = 2 k1`` and
+    ``K2 = r_v D - r D_v``.  Scaled by ``|m| > 0``, the imaginary part there
+    of a member ``x`` is ``|m| c_x - sign(m) r_x K2``, affine in ``D``, and
+    admissibility ``0 < im(w) < im(v)`` is ``im(w) > 0`` and ``im(u) > 0``
+    for ``w = (r, c, D/2)`` and ``u = v - w`` (strict, so ``b`` carries a
+    ``+ 1``).  The member discriminants are ``c^2 - r D >= 0`` and
+    ``c_u^2 - r_u (D_v - D) >= 0``.  The predicate (:func:`_row_walls`) and
+    the window clip (:func:`_clip_window`) both read the tests from here.
+    """
+    rv, Dv = ctx.rv, ctx.Dv
+    ru, cu = rv - r, ctx.cv - c
+    am, g, h = (2 * k1, rv, r * Dv) if k1 > 0 else (-2 * k1, -rv, -r * Dv)
+    return (
+        -g * r, 1 - am * c - h * r,  # im(w) > 0 at the top
+        -g * ru, 1 - am * cu - h * ru,  # im(u) > 0 at the top
+        -r, -c * c,  # disc(w) >= 0
+        ru, ru * Dv - cu * cu,  # disc(u) >= 0
+    )
+
+
 def _row_walls(ctx: _WallContext, sink: dict, r: int, c: int, Ds: range) -> None:
     """The full wall predicate on each integer triple ``(r, c, 2d)``, ``2d`` in ``Ds``.
 
     This is the single definition of "is a wall" shared by the derived-bound
     enumeration and the exhaustive scan; the two strategies differ only in
-    which rows they feed it.  Every test is on integers; survivors go into
-    ``sink`` under their pair key, the first one found winning.
+    which rows they feed it.  Every test is on integers and runs on every
+    triple, whatever window it is handed; survivors go into ``sink`` under
+    their pair key, the first one found winning.
     """
     rv, cv, Dv = ctx.rv, ctx.cv, ctx.Dv
     k1 = rv * c - r * cv
     if k1 == 0:
         return  # vertical or everywhere; also the zero member and complement
-    s = 1 if k1 > 0 else -1
     ru, cu = rv - r, cv - c
-    cc, cucu = c * c, cu * cu
     # The circle has center C = K2 / m and squared radius quarter / m^2.
     m = 2 * k1
     mm = m * m
-    # Admissibility at the top beta = K2 / m, scaled by |m| > 0:
-    # 0 < c - beta r < c_v - beta r_v is 0 < w0 - w1 D < v0 - v1 D.
-    w0, w1 = s * (m * c + r * r * Dv), s * r * rv
-    v0, v1 = s * (m * cv + r * rv * Dv), s * rv * rv
+    a0, b0, a1, b1, a2, b2, a3, b3 = _row_lines(ctx, r, c, k1)
     # Positivity: on the circle the form is affine in beta, with value
     # P / (g m^2) at the top and slope S / (g m), where
     # P = dg (K2^2 + quarter) + G1 K2 m + G0 m^2 and S = 2 dg K2 + G1 m; it
@@ -431,12 +455,11 @@ def _row_walls(ctx: _WallContext, sink: dict, r: int, c: int, Ds: range) -> None
     for D in Ds:
         if (D - c) % 2:
             continue  # off the truncation lattice
-        im_w = w0 - w1 * D
-        if im_w <= 0 or im_w >= v0 - v1 * D:
-            continue
-        Du = Dv - D
-        if cc - r * D < 0 or cucu - ru * Du < 0:
+        if a0 * D < b0 or a1 * D < b1:
+            continue  # not admissible at the top
+        if a2 * D < b2 or a3 * D < b3:
             continue  # a member would violate the discriminant inequality
+        Du = Dv - D
         K2 = rv * D - r * Dv  # twice k2
         K3 = cv * D - c * Dv  # twice k3
         quarter = K2 * K2 - 4 * k1 * K3  # (2 k1 rho)^2
@@ -458,6 +481,34 @@ def _row_walls(ctx: _WallContext, sink: dict, r: int, c: int, Ds: range) -> None
             ChernTruncation(r, c, Fraction(D, 2)), ChernTruncation(ru, cu, Fraction(Du, 2))
         )
         sink.setdefault(_pair_key(ctx, r, c, D), WallCandidate(circle, sub, quotient))
+
+
+def _clip_window(ctx: _WallContext, r: int, c: int, Ds: range) -> range:
+    """The ``2d`` of the step-1 window ``Ds`` that pass the four linear tests
+    of :func:`_row_lines` and lie on the lattice (``2d = c`` mod 2), as a
+    step-2 range.
+
+    Each half-line ``a D >= b`` is one floor or ceiling division; a zero
+    ``a`` leaves a constant test, which empties the window when it fails, as
+    does ``k1 = 0``, where the predicate rejects the whole row.  The result
+    holds every triple of ``Ds`` that :func:`_row_walls` could keep, so the
+    derived scans hand it the clipped window; the predicate still runs every
+    test on each triple.
+    """
+    lo, hi = Ds.start, Ds.stop - 1
+    k1 = ctx.rv * c - r * ctx.cv
+    if k1 == 0:
+        return range(lo, lo)
+    lines = _row_lines(ctx, r, c, k1)
+    for a, b in zip(lines[::2], lines[1::2]):
+        if a > 0:
+            lo = max(lo, -(-b // a))
+        elif a < 0:
+            hi = min(hi, -b // -a)
+        elif b > 0:
+            return range(lo, lo)
+    lo += (lo - c) % 2
+    return range(lo, hi + 1, 2)
 
 
 def _orient_pair(
@@ -488,7 +539,9 @@ def brute_force_walls(
 
     Applies exactly the same wall predicate as :func:`enumerate_tilt_walls`
     to every ``(r, c, 2d)`` with ``|r| <= r_max``, ``|c| <= c_max``,
-    ``|2d| <= two_d_max``, and reports the deduplicated, sorted walls.
+    ``|2d| <= two_d_max``, and reports the deduplicated, sorted walls.  Each
+    row goes to the predicate whole, never through :func:`_clip_window`,
+    so that comparing the two searches also checks the clip.
     """
     ctx = _WallContext(v, region)
     found: dict = {}
@@ -572,7 +625,8 @@ def _scan_torsion_members(ctx: _WallContext, sink: dict) -> None:
 
     In ``2d`` the two ends are ``(D_v r_v - (c_v - c)^2) / r_v`` and
     ``2 c (c_v - c) / r_v``; they are rounded inward on integers, with the
-    sign of ``r_v`` moved into the numerators.
+    sign of ``r_v`` moved into the numerators.  The clip
+    (:func:`_clip_window`) then keeps the lattice parity of ``2d``.
     """
     rv, cv, Dv = ctx.rv, ctx.cv, ctx.Dv
     if ctx.delta < 1:
@@ -582,7 +636,8 @@ def _scan_torsion_members(ctx: _WallContext, sink: dict) -> None:
         disc_side = s * (Dv * rv - (cv - c) ** 2)
         adm_side = s * 2 * c * (cv - c)
         lo, hi = (disc_side, adm_side) if rv > 0 else (adm_side, disc_side)
-        _row_walls(ctx, sink, 0, c, range(-(-lo // den), hi // den + 1))
+        Ds = range(-(-lo // den), hi // den + 1)
+        _row_walls(ctx, sink, 0, c, _clip_window(ctx, 0, c, Ds))
 
 
 def _scan_rank(ctx: _WallContext, sink: dict, r: int, t_hi: Fraction) -> None:
@@ -599,6 +654,14 @@ def _scan_rank(ctx: _WallContext, sink: dict, r: int, t_hi: Fraction) -> None:
     ``k1 = r_v c - r c_v``.  Its numerator is affine in ``c`` and the sign
     of ``r_v`` is moved into it once per rank, so each row costs two
     products and two floor divisions.
+
+    The hull window of a row can be far wider than its walls: the middle-rank
+    cap ``disc(v) / (2 |r_v| gap)`` exceeds a hundred for some small classes
+    of rank 4 and 5, and their windows then hold tens of millions of
+    triples.  So
+    each window is clipped (:func:`_clip_window`) to the lattice points that
+    pass the predicate's four tests linear in ``2d``, a few per row, before
+    the predicate sees it.
     """
     rv, cv, Dv = ctx.rv, ctx.cv, ctx.Dv
     lo, hi = _center_hull(ctx, t_hi)
@@ -612,7 +675,8 @@ def _scan_rank(ctx: _WallContext, sink: dict, r: int, t_hi: Fraction) -> None:
     den = abs(rv) * q
     for c in range(-(-min(rn) // q), (max(rn) + im_hi) // q + 1):
         x0, x1 = a0 * c + b0, a1 * c + b1
-        _row_walls(ctx, sink, r, c, range(-(-min(x0, x1) // den), max(x0, x1) // den + 1))
+        Ds = range(-(-min(x0, x1) // den), max(x0, x1) // den + 1)
+        _row_walls(ctx, sink, r, c, _clip_window(ctx, r, c, Ds))
 
 
 def _scan_rank_zero_total(ctx: _WallContext, sink: dict, t_stop: Fraction) -> None:
@@ -628,7 +692,7 @@ def _scan_rank_zero_total(ctx: _WallContext, sink: dict, t_stop: Fraction) -> No
     ``rho^2 = C^2 - (c_v D - c D_v) / k1``, the ``2d``-window of a row runs
     between ``D = (c D_v + k1 (C^2 - t)) / c_v`` at ``t = 0`` and at the cap
     ``t = c_v^2 / (4 r^2)``, both over the positive denominator
-    ``4 r^2 c_v q^2``.
+    ``4 r^2 c_v q^2``, and is then clipped (:func:`_clip_window`).
     """
     cv, Dv = ctx.cv, ctx.Dv
     center = _center_hull(ctx, t_stop)[0]
@@ -646,7 +710,7 @@ def _scan_rank_zero_total(ctx: _WallContext, sink: dict, t_stop: Fraction) -> No
                 x0 = a * c + b
                 x1 = x0 - cap
                 Ds = range(-(-min(x0, x1) // den), max(x0, x1) // den + 1)
-                _row_walls(ctx, sink, rr, c, Ds)
+                _row_walls(ctx, sink, rr, c, _clip_window(ctx, rr, c, Ds))
         r += 1
 
 

@@ -1,11 +1,17 @@
 from __future__ import annotations
 
+import contextlib
 import inspect
+import io
 import json
+import os
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
 from p3walls import genus4
 from p3walls.chern import format_chern, from_resolution
@@ -193,6 +199,18 @@ def test_walls_match_golden(capsys, v, name, count):
     assert json.loads(out)["count"] == count
 
 
+def test_rank_four_walls_match_golden(capsys):
+    # The hull windows of this class hold 77,165,808 triples; the clipped
+    # windows hold 796.
+    start = time.perf_counter()
+    code, out, err = invoke(capsys, "walls", "--v=4,9,-41/2,44", "--format", "json")
+    elapsed = time.perf_counter() - start
+    assert (code, err) == (0, "")
+    assert out.encode("utf-8") == (GOLDEN / "walls_rank4.json").read_bytes()
+    assert json.loads(out)["count"] == 86
+    assert elapsed < 1
+
+
 def test_malformed_character_is_usage_error(capsys):
     code, out, err = invoke(capsys, "walls", "--v", "1,0,x,15")
     assert code == 2 and out == ""
@@ -306,3 +324,108 @@ def test_plot_unwritable_path_is_domain_error(tmp_path, capsys):
     target = tmp_path / "missing" / "out.svg"
     code, out, err = invoke(capsys, "plot", "--v", "1,0,-6,15", "--out", str(target))
     assert code == 1 and err.startswith("error:")
+
+
+def _rationals(bound: int, max_denominator: int = 6):
+    return st.fractions(-bound, bound, max_denominator=max_denominator).map(str)
+
+
+@st.composite
+def characters(draw) -> str:
+    """``r,c,d,e`` with ``|r| <= 6``, ``|c| <= 20`` and ``|2d| <= 200``, now
+    and then off the truncation lattice (a domain error); ``e`` is an
+    arbitrary rational or one that makes the Euler characteristic with ``O``
+    an integer, as for sheaves."""
+    r = draw(st.integers(-6, 6))
+    c = draw(st.integers(-20, 20))
+    two_d = draw(st.integers(-200, 200))
+    if draw(st.integers(0, 7)):
+        two_d += (two_d - c) % 2 * (1 if two_d < 200 else -1)
+    d = Fraction(two_d, 2)
+    if draw(st.booleans()):
+        e = draw(st.fractions(-500, 500, max_denominator=6))
+    else:
+        e = draw(st.integers(-200, 200)) - 2 * d - Fraction(11, 6) * c - r
+    return f"{r},{c},{d},{e}"
+
+
+@st.composite
+def window_options(draw) -> list[str]:
+    """Nothing (the default window), or a window with ``|beta| <= 100`` and
+    ``alpha^2 <= 10^4``, empty or of zero height now and then."""
+    if draw(st.booleans()):
+        return []
+    lo = draw(st.integers(-600, 599))  # in sixths
+    hi = lo if draw(st.integers(0, 9)) == 0 else draw(st.integers(lo + 1, 600))
+    lo, hi = Fraction(lo, 6), Fraction(hi, 6)
+    cap = Fraction(draw(st.integers(0, 6 * 10**4)), 6)
+    return [f"--beta-min={lo}", f"--beta-max={hi}", f"--alpha2-max={cap}"]
+
+
+@st.composite
+def walls_argv(draw) -> list[str]:
+    argv = ["walls", f"--v={draw(characters())}", *draw(window_options())]
+    if draw(st.booleans()):
+        argv.append(f"--format={draw(st.sampled_from(['table', 'json']))}")
+    if draw(st.integers(0, 7)) == 0:
+        # small boxes run; boxes over MAX_BOX_TRIPLES are refused before the scan
+        low, high = draw(st.sampled_from([(0, 16), (300, 10**4)]))
+        argv += ["--brute-force", *(
+            f"--{name}={draw(st.integers(low, high))}" for name in ("r-max", "c-max", "two-d-max")
+        )]
+    return argv
+
+
+def _other_argv():
+    ch = characters()
+    return st.one_of(
+        st.tuples(st.just("hyperbola"), ch.map("--v={}".format),
+                  _rationals(100).map("--beta={}".format)),
+        st.tuples(st.just("bmt"), ch.map("--v={}".format),
+                  _rationals(100).map("--beta={}".format),
+                  _rationals(10**4).map("--alpha2={}".format)),
+        st.tuples(st.just("chern"), st.just("twist"), ch.map("--ch={}".format),
+                  _rationals(100).map("--beta={}".format)),
+        st.tuples(st.just("chern"), st.just("dual"), ch.map("--ch={}".format)),
+        st.tuples(st.just("euler"), ch.map("--a={}".format), ch.map("--b={}".format)),
+        st.lists(st.tuples(st.integers(-20, 20), st.integers(-5, 5)), min_size=1, max_size=4)
+        .map(lambda terms: ("chern", "resolve", *(f"--term={t}:{k}" for t, k in terms))),
+        st.tuples(st.just("plot"), ch.map("--v={}".format), st.just(f"--out={os.devnull}")),
+    ).map(list)
+
+
+@st.composite
+def cli_argv(draw) -> list[str]:
+    """An invocation that follows the CLI grammar, one token of it replaced
+    by junk now and then (a usage error)."""
+    argv = draw(st.one_of(walls_argv(), walls_argv(), _other_argv()))
+    if draw(st.integers(0, 9)) == 0:
+        at = draw(st.integers(0, len(argv) - 1))
+        assume(not argv[at].startswith("--out="))  # "--out=--" would write a file
+        flag, sep, _ = argv[at].partition("=")
+        junk = draw(st.sampled_from(["1/0", "x", "", "1.5", "--", "1,2"]))
+        argv[at] = f"{flag}={junk}" if sep else junk
+    return argv
+
+
+@given(cli_argv())
+@example(["walls", "--v=4,9,-41/2,44"])
+@example(["bmt", "--v=--", "--beta=0", "--alpha2=1"])
+@example(["walls", "--v=1,0,-6,15", "--format=--"])
+@example(["chern", "resolve", "--term=-2:1", "--term=--"])
+@example(["walls", "--v=5,9,-39/2,98/3", "--format=json"])
+@example(["walls", "--v=-5,-2,21,141", "--beta-min=-100", "--beta-max=100",
+          "--alpha2-max=10000"])
+@settings(max_examples=200, deadline=None)
+def test_every_invocation_exits_with_a_documented_code_in_bounded_time(argv):
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = run(argv)
+    elapsed = time.perf_counter() - start
+    assert code in (0, 1, 2), argv
+    assert elapsed < 5, argv
+    if code:
+        assert out.getvalue() == "" and err.getvalue(), argv
+    else:
+        assert err.getvalue() == "", argv

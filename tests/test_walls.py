@@ -228,6 +228,17 @@ def test_unbounded_search_raises():
     )
 
 
+#: Ranks 4 and 5 whose middle-rank caps lie far above their walls: the hull
+#: windows of the derived search hold tens of millions of triples, the
+#: clipped windows a few hundred.  The oracle box (5, 20, 100) holds a member
+#: of each of their 86, 85, 131 and 0 walls over REGION.
+HIGH_RANK_TOTALS = [
+    ChernCharacter(4, 9, Fraction(-41, 2), 44),
+    ChernCharacter(-4, 9, Fraction(43, 2), 69),
+    ChernCharacter(5, 9, Fraction(-39, 2), Fraction(98, 3)),
+    ChernCharacter(-5, -2, 21, 141),
+]
+
 ORACLE_TOTALS = [
     ChernCharacter(1, 0, -6, 15),
     ChernCharacter(1, 0, -1, 1),
@@ -236,6 +247,7 @@ ORACLE_TOTALS = [
     ChernCharacter(2, -1, Fraction(-5, 2), Fraction(29, 6)),
     ChernCharacter(3, -2, -1, Fraction(8, 3)),
     ChernCharacter(1, -3, Fraction(-3, 2), Fraction(57, 2)),  # V twisted by 3
+    *HIGH_RANK_TOTALS,
 ]
 
 
@@ -550,8 +562,8 @@ def test_wall_to_dict():
 
 
 @st.composite
-def small_totals(draw) -> ChernCharacter:
-    r = draw(st.integers(min_value=-3, max_value=3))
+def small_totals(draw, max_rank: int = 3) -> ChernCharacter:
+    r = draw(st.integers(min_value=-max_rank, max_value=max_rank))
     c = draw(st.integers(min_value=-4, max_value=4))
     k = draw(st.integers(min_value=-6, max_value=6))
     t = draw(st.integers(min_value=-4, max_value=4))
@@ -622,25 +634,36 @@ def test_box_restriction_of_smart_search_matches_brute_force(total):
     assert restricted == brute_force_walls(total, region, bounds)
 
 
-@given(small_totals())
+@given(small_totals(max_rank=5))
 @example(REFUSED_TOTALS[0])
 @example(REFUSED_TOTALS[2])
 @example(ChernCharacter(-2, -6, -3, 19))
 @example(ChernCharacter(0, 6, -9, 7))
+@example(HIGH_RANK_TOTALS[0])
+@example(HIGH_RANK_TOTALS[2])
 @settings(max_examples=150, deadline=None)
 def test_oracle_equivalence_on_random_classes(total):
     # Refusals are checked against the certificate; every other class must
-    # equal the oracle over a box strictly containing every scanned row.
+    # equal the oracle over a box strictly containing every scanned row: the
+    # hull windows, or, when their box holds over 10^7 triples (some classes
+    # of rank 4 and 5 reach 2 * 10^8), the clipped windows the predicate
+    # is handed.
     region = Region(-6, 0, 16)
     expect_refusal = _certificate_refuses(walls_module._WallContext(total, region))
+    hull: list = []
     rows: list = []
-    row_walls = walls_module._row_walls
+    row_walls, clip_window = walls_module._row_walls, walls_module._clip_window
+
+    def record_hull(ctx, r, c, Ds):
+        hull.append((r, c, Ds))
+        return clip_window(ctx, r, c, Ds)
 
     def record(ctx, sink, r, c, Ds):
         rows.append((r, c, Ds))
         row_walls(ctx, sink, r, c, Ds)
 
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(walls_module, "_clip_window", record_hull)
         mp.setattr(walls_module, "_row_walls", record)
         try:
             smart = enumerate_tilt_walls(total, region)
@@ -648,11 +671,17 @@ def test_oracle_equivalence_on_random_classes(total):
             assert expect_refusal and not rows
             return
     assert not expect_refusal
-    bounds = SearchBounds(
-        max((abs(r) for r, _, _ in rows), default=0) + 2,
-        max((abs(c) for _, c, _ in rows), default=0) + 4,
-        max((max(-Ds[0], Ds[-1]) for _, _, Ds in rows if Ds), default=0) + 8,
-    )
+
+    def box(scanned: list) -> SearchBounds:
+        return SearchBounds(
+            max((abs(r) for r, _, _ in scanned), default=0) + 2,
+            max((abs(c) for _, c, _ in scanned), default=0) + 4,
+            max((max(-Ds[0], Ds[-1]) for _, _, Ds in scanned if Ds), default=0) + 8,
+        )
+
+    bounds = box(hull)
+    if math.prod(2 * bound + 1 for bound in bounds) > 10**7:
+        bounds = box(rows)
     assert smart == brute_force_walls(total, region, bounds)
 
 
@@ -817,13 +846,16 @@ def _reference_scan_rank_zero_total(
 
 
 def _scanned_rows(total: ChernCharacter, reference: bool) -> list:
-    """Every ``(r, c, start, stop)`` the derived search hands to ``_row_walls``,
-    in order, ending in ``"refused"`` when the class is refused.
+    """Every ``(r, c, start, stop)`` of the hull windows the derived search
+    computes, in order, ending in ``"refused"`` when the class is refused.
 
+    The clip is patched to the identity, so these are the windows before
+    :func:`walls._clip_window` narrows them (the clip has its own tests).
     The recorder keeps no walls, which the scans never read back.
     """
     rows: list = []
     with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(walls_module, "_clip_window", lambda ctx, r, c, Ds: Ds)
         mp.setattr(
             walls_module,
             "_row_walls",
@@ -894,3 +926,115 @@ def test_scan_windows_match_fraction_reference_on_curve_classes(n):
         for genus in range(20):
             rows += _assert_windows_match_reference(curve_ideal_ch(degree, genus).twist(n))
     assert rows > 0
+
+
+def _reference_clip(ctx: walls_module._WallContext, r: int, c: int, Ds: range) -> list:
+    """The clip on Fractions, one ``2d`` at a time: the lattice points of
+    ``Ds`` whose pair is admissible at the top ``beta = k2 / k1`` of its
+    circle and whose members both have nonnegative discriminant."""
+    v = ctx.v_tr
+    k1 = v.r * c - r * v.c
+    if k1 == 0:
+        return []
+    kept = []
+    for D in Ds:
+        if (D - c) % 2:
+            continue
+        w = ChernTruncation(r, c, Fraction(D, 2))
+        u = v - w
+        beta = (v.r * w.d - r * v.d) / k1
+        if not 0 < w.twist(beta).c < v.twist(beta).c:
+            continue
+        if w.discriminant() >= 0 and u.discriminant() >= 0:
+            kept.append(D)
+    return kept
+
+
+def _assert_clip_matches_reference(
+    ctx: walls_module._WallContext, r: int, c: int, Ds: range
+) -> set:
+    """Assert that the clip keeps exactly the reference's ``2d`` and loses no
+    wall of the full window; return the kinds of row this was."""
+    clipped = walls_module._clip_window(ctx, r, c, Ds)
+    assert list(clipped) == _reference_clip(ctx, r, c, Ds), (r, c, Ds)
+    full: dict = {}
+    walls_module._row_walls(ctx, full, r, c, Ds)
+    cut: dict = {}
+    walls_module._row_walls(ctx, cut, r, c, clipped)
+    assert cut == full, (r, c, Ds)
+    n = len(clipped)
+    kinds = {"empty" if n == 0 else "single" if n == 1 else "odd" if n % 2 else "even"}
+    if r == 0:
+        kinds.add("r = 0")
+    if r == ctx.rv:
+        kinds.add("r = r_v")
+    # a coefficient of a test vanishes on this row, and its constant fails
+    k1 = ctx.rv * c - r * ctx.cv
+    lines = walls_module._row_lines(ctx, r, c, k1) if k1 else ()
+    if any(a == 0 and b > 0 for a, b in zip(lines[::2], lines[1::2])):
+        kinds.add("constant fails")
+    return kinds
+
+
+@pytest.mark.parametrize("totals", [DIFFERENTIAL_TOTALS, SIGNED_TOTALS],
+                         ids=["differential", "signed"])
+def test_clip_matches_fraction_reference_on_scanned_rows(totals):
+    # Every hull window the derived search computes for these classes.
+    kinds: set = set()
+    for total in totals:
+        ctx = walls_module._WallContext(total, REGION)
+        for row in _scanned_rows(total, reference=False):
+            if row != "refused":
+                r, c, start, stop = row
+                kinds |= _assert_clip_matches_reference(ctx, r, c, range(start, stop))
+    assert {"empty", "single", "odd", "even", "r = 0"} <= kinds
+
+
+#: Rows of V where a zero coefficient leaves a constant test: ``r = 0`` with
+#: ``c < 0`` fails im(w) > 0, ``r = r_v`` with ``c > c_v`` fails im(u) > 0,
+#: and the rest pass theirs.
+@pytest.mark.parametrize("r, c", [(0, -2), (0, 2), (1, 3), (1, -3), (1, 0), (0, 0)])
+def test_clip_matches_fraction_reference_on_zero_coefficients(r, c):
+    ctx = walls_module._WallContext(V, REGION)
+    kinds = _assert_clip_matches_reference(ctx, r, c, range(-41, 40))
+    assert ("constant fails" in kinds) == ((r, c) in [(0, -2), (1, 3)])
+
+
+@given(
+    rational_totals(),
+    st.one_of(st.integers(-6, 6), st.sampled_from(["r = 0", "r = r_v"])),
+    st.integers(-12, 12),
+    st.integers(-80, 80),
+    st.integers(-1, 60),
+)
+@settings(max_examples=300, deadline=None)
+def test_clip_matches_fraction_reference_on_random_rows(total, r, c, start, length):
+    ctx = walls_module._WallContext(total, REGION)
+    r = {"r = 0": 0, "r = r_v": ctx.rv}.get(r, r)
+    _assert_clip_matches_reference(ctx, r, c, range(start, start + length))
+
+
+def _triples_handed_to_the_predicate(total: ChernCharacter) -> tuple[int, int]:
+    """``(triples, walls)`` of the derived search over REGION."""
+    triples = 0
+    row_walls = walls_module._row_walls
+
+    def count(ctx, sink, r, c, Ds):
+        nonlocal triples
+        triples += len(Ds)
+        row_walls(ctx, sink, r, c, Ds)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(walls_module, "_row_walls", count)
+        walls = enumerate_tilt_walls(total, REGION)
+    return triples, len(walls)
+
+
+@pytest.mark.parametrize(
+    "total, count", zip(HIGH_RANK_TOTALS, [86, 85, 131, 0]), ids=map(str, HIGH_RANK_TOTALS)
+)
+def test_derived_search_work_is_bounded_at_high_rank(total, count):
+    # The hull windows of these classes hold 77 to 188 million triples.
+    triples, walls = _triples_handed_to_the_predicate(total)
+    assert walls == count
+    assert triples <= 10**4
