@@ -55,7 +55,7 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import NamedTuple, Optional
+from typing import Iterable, NamedTuple, Optional
 
 from .chern import ChernCharacter, ChernTruncation, RationalInput, _rat
 # walls.wall_admissible and walls.nu stay bound: perfbench/tracer.py wraps them by name.
@@ -439,8 +439,8 @@ def _row_walls(ctx: _WallContext, sink: dict, r: int, c: int, Ds: range) -> None
     """
     rv, cv, Dv = ctx.rv, ctx.cv, ctx.Dv
     k1 = rv * c - r * cv
-    if k1 == 0:
-        return  # vertical or everywhere; also the zero member and complement
+    if k1 == 0 or not Ds:
+        return  # vertical or everywhere (also the zero member and complement), or no triple
     ru, cu = rv - r, cv - c
     # The circle has center C = K2 / m and squared radius quarter / m^2.
     m = 2 * k1
@@ -525,9 +525,9 @@ def _pair_key(ctx: _WallContext, r: int, c: int, D: int):
     return (member, other) if member <= other else (other, member)
 
 
-def _sorted_walls(found: dict) -> list[WallCandidate]:
+def _sorted_walls(walls: Iterable[WallCandidate]) -> list[WallCandidate]:
     return sorted(
-        found.values(),
+        walls,
         key=lambda w: (-w.circle.radius_sq, w.sub.r, w.sub.c, w.sub.d),
     )
 
@@ -549,7 +549,7 @@ def brute_force_walls(
     for r in range(-bounds.r_max, bounds.r_max + 1):
         for c in range(-bounds.c_max, bounds.c_max + 1):
             _row_walls(ctx, found, r, c, Ds)
-    return _sorted_walls(found)
+    return _sorted_walls(found.values())
 
 
 _SQRT_BITS = 192
@@ -569,18 +569,15 @@ def _center_hull(ctx: _WallContext, t: Fraction) -> tuple[Fraction, Fraction]:
     """Interval holding the center of every candidate circle with ``rho^2 <= t``.
 
     A candidate's top lies on the slope-zero locus of ``v``, so its center is
-    ``C(rho^2)`` with ``C(t) = mu -/+ sqrt(disc(v)/r_v^2 + t)`` (admissible
-    branch), monotone; the hull runs from ``C(0)`` to ``C(t)``, rounded
-    outward.  For rank zero every center is ``d_v / c_v``.
+    ``C(rho^2)`` with ``C(t) = mu - sqrt(disc(v)/r_v^2 + t)`` (admissible
+    branch, ``r_v > 0``), decreasing; the hull runs from ``C(t)`` to
+    ``C(0)``, rounded outward.  For rank zero every center is ``d_v / c_v``.
     """
     if not ctx.rv:
         center = ctx.d_v / ctx.v_tr.c
         return center, center
     base = Fraction(ctx.delta, ctx.rv * ctx.rv)
-    near, far = _sqrt_bounds(base)[0], _sqrt_bounds(base + t)[1]
-    if ctx.rv > 0:
-        return ctx.mu - far, ctx.mu - near
-    return ctx.mu + near, ctx.mu + far
+    return ctx.mu - _sqrt_bounds(base + t)[1], ctx.mu - _sqrt_bounds(base)[0]
 
 
 def _vacuity_radius_cap(ctx: _WallContext) -> Fraction:
@@ -616,27 +613,20 @@ def _vacuity_radius_cap(ctx: _WallContext) -> Fraction:
 
 
 def _scan_torsion_members(ctx: _WallContext, sink: dict) -> None:
-    """Pairs with a rank-zero member (total rank nonzero).
+    """Pairs with a rank-zero member (``r_v > 0`` and ``disc(v) > 0``).
 
     The rank-zero member has ``c > 0`` and discriminant ``c^2``, and
     discriminant additivity forces ``c^2 < disc(v)``.  For each ``c`` the
     ``d``-window is closed by the quotient discriminant on one side and by
     admissibility of the quotient at the top on the other.
 
-    In ``2d`` the two ends are ``(D_v r_v - (c_v - c)^2) / r_v`` and
-    ``2 c (c_v - c) / r_v``; they are rounded inward on integers, with the
-    sign of ``r_v`` moved into the numerators.  The clip
-    (:func:`_clip_window`) then keeps the lattice parity of ``2d``.
+    In ``2d`` the window runs from ``(D_v r_v - (c_v - c)^2) / r_v`` up to
+    ``2 c (c_v - c) / r_v``, rounded inward on integers.  The
+    clip (:func:`_clip_window`) then keeps the lattice parity of ``2d``.
     """
     rv, cv, Dv = ctx.rv, ctx.cv, ctx.Dv
-    if ctx.delta < 1:
-        return
-    s, den = (1, rv) if rv > 0 else (-1, -rv)
     for c in range(1, math.isqrt(ctx.delta - 1) + 1):
-        disc_side = s * (Dv * rv - (cv - c) ** 2)
-        adm_side = s * 2 * c * (cv - c)
-        lo, hi = (disc_side, adm_side) if rv > 0 else (adm_side, disc_side)
-        Ds = range(-(-lo // den), hi // den + 1)
+        Ds = range(-(-(Dv * rv - (cv - c) ** 2) // rv), 2 * c * (cv - c) // rv + 1)
         _row_walls(ctx, sink, 0, c, _clip_window(ctx, 0, c, Ds))
 
 
@@ -651,17 +641,15 @@ def _scan_rank(ctx: _WallContext, sink: dict, r: int, t_hi: Fraction) -> None:
     The windows are decided on integers: each hull end is written ``n / q``
     over one denominator once per rank, and a row's ``2d``-window runs
     between ``(2 n k1 + r D_v q) / (r_v q)`` for the two ends, with
-    ``k1 = r_v c - r c_v``.  Its numerator is affine in ``c`` and the sign
-    of ``r_v`` is moved into it once per rank, so each row costs two
-    products and two floor divisions.
+    ``k1 = r_v c - r c_v`` and ``r_v > 0``.  Its numerator is affine in
+    ``c``, so each row costs two products and two floor divisions.
 
     The hull window of a row can be far wider than its walls: the middle-rank
-    cap ``disc(v) / (2 |r_v| gap)`` exceeds a hundred for some small classes
+    cap ``disc(v) / (2 r_v gap)`` exceeds a hundred for some small classes
     of rank 4 and 5, and their windows then hold tens of millions of
-    triples.  So
-    each window is clipped (:func:`_clip_window`) to the lattice points that
-    pass the predicate's four tests linear in ``2d``, a few per row, before
-    the predicate sees it.
+    triples.  So each window is clipped (:func:`_clip_window`) to the
+    lattice points that pass the predicate's four tests linear in ``2d``, a
+    few per row, before the predicate sees it.
     """
     rv, cv, Dv = ctx.rv, ctx.cv, ctx.Dv
     lo, hi = _center_hull(ctx, t_hi)
@@ -670,9 +658,8 @@ def _scan_rank(ctx: _WallContext, sink: dict, r: int, t_hi: Fraction) -> None:
     # Admissibility at the top: C r < c < C r + c_v - r_v C, over q.
     rn = (r * ends[0], r * ends[1])
     im_hi = max(cv * q - rv * n for n in ends)
-    s = 1 if rv > 0 else -1
-    (a0, b0), (a1, b1) = ((s * 2 * n * rv, s * r * (Dv * q - 2 * n * cv)) for n in ends)
-    den = abs(rv) * q
+    (a0, b0), (a1, b1) = ((2 * n * rv, r * (Dv * q - 2 * n * cv)) for n in ends)
+    den = rv * q
     for c in range(-(-min(rn) // q), (max(rn) + im_hi) // q + 1):
         x0, x1 = a0 * c + b0, a1 * c + b1
         Ds = range(-(-min(x0, x1) // den), max(x0, x1) // den + 1)
@@ -728,20 +715,23 @@ def enumerate_tilt_walls(
 
     Otherwise the search runs on derived bounds, each a consequence of
     evaluating the wall data at the top of a candidate circle, where every
-    participating slope vanishes:
+    participating slope vanishes.  For ``r_v >= 0``:
 
-    * discriminants of an admissible pair obey
-      ``disc(w) + disc(v-w) <= disc(v)``, so a rank-zero member has
-      ``0 < c < sqrt(disc(v))``, finitely many values with closed
-      ``d``-windows;
-    * a member rank strictly between ``0`` and ``r_v`` satisfies
-      ``|c - r c_v / r_v| <= disc(v) / (2 |r_v| rho)``, which caps the radius
-      because the integer ``c`` keeps a fixed distance from the excluded
-      center line;
+    * discriminants of an admissible pair obey ``disc(w) + disc(v-w) <= disc(v)``,
+      so a rank-zero member has ``0 < c < sqrt(disc(v))``, finitely many
+      values with closed ``d``-windows;
+    * a member rank ``0 < r < r_v`` satisfies
+      ``|c - r c_v / r_v| <= disc(v) / (2 r_v rho)``, which caps the radius
+      because the integer ``c`` keeps a fixed distance from that center line;
     * ranks outside ``[0, r_v]`` obey ``rho^2 <= disc(v) / (n^2 - r_v^2)``
-      with ``n = |r| + |r_v - r| > |r_v|``, a cap decreasing to zero, and the
+      with ``n = |r| + |r_v - r| > r_v``, a cap decreasing to zero, and the
       rank loop stops once it falls below the certified vacuity radius of
       :func:`_vacuity_radius_cap`.
+
+    A class of negative rank is searched as its derived dual
+    ``ch(E^v[1]) = (-r, c, -d, e)`` over the region mirrored by ``beta -> -beta``,
+    an exact symmetry of the predicate, and its walls are mapped back
+    (:func:`_mirror_wall`); the oracle takes no such step.
 
     When no vacuity disc exists the outside-rank loop has no certified stop,
     and a :class:`WallSearchError`, raised before any scan, asks for
@@ -752,7 +742,22 @@ def enumerate_tilt_walls(
     """
     if bounds is not None:
         return brute_force_walls(v, region, bounds)
-    ctx = _WallContext(v, region)
+    ctx = _WallContext(v, region)  # a class off the lattice is named as given
+    if ctx.rv < 0:
+        mirror = Region(-region.beta_max, -region.beta_min, region.alpha_sq_max)
+        return _sorted_walls(map(_mirror_wall, _derived_walls(_WallContext(-v.dual(), mirror))))
+    return _derived_walls(ctx)
+
+
+def _mirror_wall(wall: WallCandidate) -> WallCandidate:
+    """``wall`` under the derived dual: ``beta -> -beta``, ``(r, c, d) -> (-r, c, -d)``."""
+    sub, quotient = (ChernTruncation(-m.r, m.c, -m.d) for m in (wall.sub, wall.quotient))
+    circle = Circle(-wall.circle.center, wall.circle.radius_sq)
+    return WallCandidate(circle, *_orient_pair(sub, quotient))
+
+
+def _derived_walls(ctx: _WallContext) -> list[WallCandidate]:
+    """The derived-bound search of :func:`enumerate_tilt_walls` for ``r_v >= 0``."""
     if ctx.delta <= 0:
         return []
     if ctx.rv == 0 and ctx.cv <= 0:
@@ -768,27 +773,21 @@ def enumerate_tilt_walls(
     found: dict = {}
     if ctx.rv == 0:
         _scan_rank_zero_total(ctx, found, t_stop)
-        return _sorted_walls(found)
+        return _sorted_walls(found.values())
     _scan_torsion_members(ctx, found)
-    sign = 1 if ctx.rv > 0 else -1
-    for k in range(1, abs(ctx.rv)):  # member ranks strictly between 0 and r_v
-        r_mu = Fraction(sign * k * ctx.cv, ctx.rv)
-        if r_mu.denominator == 1:
-            gap = Fraction(1)
-        else:
-            gap = min(r_mu - math.floor(r_mu), math.ceil(r_mu) - r_mu)
-        cap = Fraction(ctx.delta, 2 * abs(ctx.rv)) / gap
-        _scan_rank(ctx, found, sign * k, cap * cap)
+    for k in range(1, ctx.rv):  # member ranks strictly between 0 and r_v
+        g = min(k * ctx.cv % ctx.rv, -k * ctx.cv % ctx.rv) or ctx.rv  # r_v * gap
+        _scan_rank(ctx, found, k, Fraction(ctx.delta, 2 * g) ** 2)
     excess = 1
     while True:
-        n = abs(ctx.rv) + 2 * excess
-        cap_sq = Fraction(ctx.delta, n * n - ctx.rv * ctx.rv)
+        # n = r_v + 2 excess, so n^2 - r_v^2 = 4 excess (r_v + excess)
+        cap_sq = Fraction(ctx.delta, 4 * excess * (ctx.rv + excess))
         if cap_sq <= t_stop:
             break
-        for r in (sign * (abs(ctx.rv) + excess), -sign * excess):
+        for r in (ctx.rv + excess, -excess):
             _scan_rank(ctx, found, r, cap_sq)
         excess += 1
-    return _sorted_walls(found)
+    return _sorted_walls(found.values())
 
 
 def wall_to_dict(candidate: WallCandidate) -> dict:

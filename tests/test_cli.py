@@ -178,22 +178,25 @@ def test_genus4_matches_golden(capsys, argv, name):
     assert out.encode("utf-8") == (GOLDEN / name).read_bytes()
 
 
-#: Derived-bound searches through every scan: ranks 2 and 3, a negative rank
-#: and a rank-zero class, over a wide window.
+WIDE_WINDOW = ("--beta-min=-100", "--beta-max", "100", "--alpha2-max", "10000")
+
+#: Derived-bound searches through every scan: ranks 2 and 3, two negative
+#: ranks (searched through the derived dual) and a rank-zero class, over a
+#: wide window or the default one.
 WALLS_GOLDENS = [
-    ("2,0,-50,300", "walls_rank2.json", 125),
-    ("3,0,-40,200", "walls_rank3.json", 102),
-    ("-2,-6,-3,19", "walls_rank_minus2.json", 12),
-    ("0,6,-9,7", "walls_rank0.json", 20),
+    ("2,0,-50,300", "walls_rank2.json", 125, WIDE_WINDOW),
+    ("3,0,-40,200", "walls_rank3.json", 102, WIDE_WINDOW),
+    ("-2,-6,-3,19", "walls_rank_minus2.json", 12, WIDE_WINDOW),
+    ("-4,9,43/2,69", "walls_rank_minus4.json", 85, ()),
+    ("0,6,-9,7", "walls_rank0.json", 20, WIDE_WINDOW),
 ]
 
 
-@pytest.mark.parametrize("v, name, count", WALLS_GOLDENS, ids=[g[1] for g in WALLS_GOLDENS])
-def test_walls_match_golden(capsys, v, name, count):
-    code, out, err = invoke(
-        capsys, "walls", f"--v={v}", "--format", "json",
-        "--beta-min=-100", "--beta-max", "100", "--alpha2-max", "10000",
-    )
+@pytest.mark.parametrize(
+    "v, name, count, window", WALLS_GOLDENS, ids=[g[1] for g in WALLS_GOLDENS]
+)
+def test_walls_match_golden(capsys, v, name, count, window):
+    code, out, err = invoke(capsys, "walls", f"--v={v}", "--format", "json", *window)
     assert (code, err) == (0, "")
     assert out.encode("utf-8") == (GOLDEN / name).read_bytes()
     assert json.loads(out)["count"] == count

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 from typing import Optional
 
@@ -213,6 +214,13 @@ def test_plane_structure_sheaf_single_wall():
 def test_unbounded_search_raises():
     with pytest.raises(WallSearchError, match="cannot certify termination"):
         enumerate_tilt_walls(ChernCharacter(1, 0, -6, 0), REGION)
+    # its derived dual is refused through that class, with the same message
+    with pytest.raises(WallSearchError) as refused:
+        enumerate_tilt_walls(ChernCharacter(-1, 0, 6, 0), REGION)
+    assert str(refused.value) == (
+        "cannot certify termination for this class (no vacuity disc below the"
+        " candidate circles); pass explicit SearchBounds"
+    )
     # rank-zero classes without a positivity disc have walls accumulating
     # at their center and are refused as well
     with pytest.raises(WallSearchError, match="rank-zero"):
@@ -511,26 +519,45 @@ def test_walls_are_twist_equivariant(total, n):
     assert _walls_as_set(total.twist(n), shifted) == expected
 
 
-def _assert_walls_are_dual_equivariant(total: ChernCharacter) -> None:
-    # The derived dual ch(E^v[1]) = (-r, c, -d, e) with beta -> -beta is an
-    # exact symmetry of the wall predicate: each circle is reflected (center
-    # negated, radius kept) and each member is mapped by the same involution.
-    # The search treats the sign of r_v in separate branches, so this pins
-    # them against each other; REGION is not symmetric about beta = 0.
-    dual = ChernCharacter(-total.r, total.c, -total.d, total.e)
-    mirror = Region(-REGION.beta_max, -REGION.beta_min, REGION.alpha_sq_max)
-    expected = _walls_as_set(total, REGION)
-    if expected is not None:
-        expected = {
-            (-center, radius_sq, frozenset(ChernTruncation(-m.r, m.c, -m.d) for m in pair))
-            for center, radius_sq, pair in expected
+def _dual(total: ChernCharacter) -> ChernCharacter:
+    """The derived dual ``ch(E^v[1]) = (-r, c, -d, e)``."""
+    return ChernCharacter(-total.r, total.c, -total.d, total.e)
+
+
+def _mirror(region: Region) -> Region:
+    """The region reflected by ``beta -> -beta``."""
+    return Region(-region.beta_max, -region.beta_min, region.alpha_sq_max)
+
+
+def _canonical(total: ChernCharacter, region: Region) -> tuple[ChernCharacter, Region]:
+    """The class and region the derived search runs on: a class of negative
+    rank is searched as its derived dual over the mirrored region."""
+    return (_dual(total), _mirror(region)) if total.r < 0 else (total, region)
+
+
+def _assert_walls_are_dual_equivariant(total: ChernCharacter, bounds: SearchBounds) -> None:
+    # The derived dual with beta -> -beta is an exact symmetry of the wall
+    # predicate: each circle is reflected (center negated, radius kept) and
+    # each member is mapped by the same involution.  The derived search sends
+    # negative rank through this map, so it is pinned on the exhaustive scan,
+    # which never takes it: the box is symmetric under (r, 2d) -> (-r, -2d),
+    # and REGION is not symmetric about beta = 0.
+    def as_set(total: ChernCharacter, region: Region) -> set:
+        return {
+            (w.circle.center, w.circle.radius_sq, frozenset((w.sub, w.quotient)))
+            for w in brute_force_walls(total, region, bounds)
         }
-    assert _walls_as_set(dual, mirror) == expected
+
+    expected = {
+        (-center, radius_sq, frozenset(ChernTruncation(-m.r, m.c, -m.d) for m in pair))
+        for center, radius_sq, pair in as_set(total, REGION)
+    }
+    assert as_set(_dual(total), _mirror(REGION)) == expected
 
 
 @pytest.mark.parametrize("total", TWIST_TOTALS, ids=str)
 def test_walls_are_derived_dual_equivariant(total):
-    _assert_walls_are_dual_equivariant(total)
+    _assert_walls_are_dual_equivariant(total, SearchBounds(5, 20, 100))
 
 
 @st.composite
@@ -546,7 +573,7 @@ def twisted_curve_classes(draw) -> ChernCharacter:
 @example(ChernCharacter(-2, -6, -3, 19))
 @settings(max_examples=150, deadline=None)
 def test_walls_are_derived_dual_equivariant_on_random_classes(total):
-    _assert_walls_are_dual_equivariant(total)
+    _assert_walls_are_dual_equivariant(total, SearchBounds(3, 8, 30))
 
 
 def test_wall_to_dict():
@@ -587,9 +614,11 @@ def test_enumerated_walls_satisfy_invariants(total):
         assert circle_meets_region(w.circle, region)
 
 
-def _certificate_refuses(ctx: walls_module._WallContext) -> bool:
+def _certificate_refuses(total: ChernCharacter, region: Region) -> bool:
     """Whether the search must refuse: a positive discriminant, no certified
-    vacuity radius, and for rank zero some admissible top (``c_v > 0``)."""
+    vacuity radius, and for rank zero some admissible top (``c_v > 0``).  The
+    certificate is taken on the class the search runs on (:func:`_canonical`)."""
+    ctx = walls_module._WallContext(*_canonical(total, region))
     uncertified = ctx.delta > 0 and walls_module._vacuity_radius_cap(ctx) <= 0
     return uncertified and (ctx.rv != 0 or ctx.cv > 0)
 
@@ -602,7 +631,7 @@ def _certificate_refuses(ctx: walls_module._WallContext) -> bool:
 @settings(max_examples=40, deadline=None)
 def test_refusal_is_decided_by_the_vacuity_certificate(total):
     region = Region(-6, 0, 16)
-    expect_refusal = _certificate_refuses(walls_module._WallContext(total, region))
+    expect_refusal = _certificate_refuses(total, region)
     try:
         enumerate_tilt_walls(total, region)
     except WallSearchError:
@@ -649,7 +678,7 @@ def test_oracle_equivalence_on_random_classes(total):
     # of rank 4 and 5 reach 2 * 10^8), the clipped windows the predicate
     # is handed.
     region = Region(-6, 0, 16)
-    expect_refusal = _certificate_refuses(walls_module._WallContext(total, region))
+    expect_refusal = _certificate_refuses(total, region)
     hull: list = []
     rows: list = []
     row_walls, clip_window = walls_module._row_walls, walls_module._clip_window
@@ -733,9 +762,12 @@ def _reference_vacuity_cap(ctx: walls_module._WallContext) -> Fraction:
 
 
 def _assert_cap_matches_reference(total: ChernCharacter) -> Fraction:
-    ctx = walls_module._WallContext(total, Region(-6, 0, 16))
-    t_stop = walls_module._vacuity_radius_cap(ctx)
-    assert t_stop == _reference_vacuity_cap(ctx)
+    # The search certifies the class it runs on; the reference certifies the
+    # class as given, on its own branch for negative rank.
+    region = Region(-6, 0, 16)
+    searched = walls_module._WallContext(*_canonical(total, region))
+    t_stop = walls_module._vacuity_radius_cap(searched)
+    assert t_stop == _reference_vacuity_cap(walls_module._WallContext(total, region))
     return t_stop
 
 
@@ -764,12 +796,10 @@ def test_vacuity_cap_matches_reference_on_curve_classes(n):
     [
         # C(t) = -sqrt(4 + t): C(0) = -2 and C(5) = -3
         (ChernCharacter(1, 0, -2, 0), 5, (-3, -2)),
-        # C(t) = +sqrt(4 + t) for negative rank
-        (ChernCharacter(-1, 0, 2, 0), 5, (2, 3)),
         # rank zero: every circle is centered at d_v / c_v
         (ChernCharacter(0, 1, Fraction(-1, 2), Fraction(1, 6)), 7, (Fraction(-1, 2),)),
     ],
-    ids=["rank-one", "negative-rank", "rank-zero"],
+    ids=["rank-one", "rank-zero"],
 )
 def test_center_hull_contains_exact_centers(total, t, centers):
     ctx = walls_module._WallContext(total, REGION)
@@ -781,8 +811,9 @@ def test_center_hull_contains_exact_centers(total, t, centers):
 
 @pytest.mark.parametrize("total", ORACLE_TOTALS, ids=str)
 def test_center_hull_contains_every_oracle_wall(total):
-    ctx = walls_module._WallContext(total, REGION)
-    walls = brute_force_walls(total, REGION, SearchBounds(5, 20, 100))
+    total, region = _canonical(total, REGION)
+    ctx = walls_module._WallContext(total, region)
+    walls = brute_force_walls(total, region, SearchBounds(5, 20, 100))
     for w in walls:
         lo, hi = walls_module._center_hull(ctx, w.circle.radius_sq)
         assert lo <= w.circle.center <= hi, w
@@ -892,8 +923,8 @@ def test_scan_windows_match_fraction_reference_on_rational_totals(total):
     _assert_windows_match_reference(total)
 
 
-#: Negative-rank and rank-zero totals with walls over a wide window: the sign
-#: of ``r_v`` moved into the numerators, and the fixed rank-zero center
+#: Negative-rank and rank-zero totals with walls over a wide window: classes
+#: the search runs through the derived dual, and the fixed rank-zero center
 #: ``D_v / (2 c_v)`` with ``c_v`` even and odd.
 SIGNED_TOTALS = [
     ChernCharacter(-3, -5, Fraction(1, 2), Fraction(67, 6)),
@@ -979,10 +1010,11 @@ def _assert_clip_matches_reference(
 @pytest.mark.parametrize("totals", [DIFFERENTIAL_TOTALS, SIGNED_TOTALS],
                          ids=["differential", "signed"])
 def test_clip_matches_fraction_reference_on_scanned_rows(totals):
-    # Every hull window the derived search computes for these classes.
+    # Every hull window the derived search computes for these classes, on the
+    # class it runs on.
     kinds: set = set()
     for total in totals:
-        ctx = walls_module._WallContext(total, REGION)
+        ctx = walls_module._WallContext(*_canonical(total, REGION))
         for row in _scanned_rows(total, reference=False):
             if row != "refused":
                 r, c, start, stop = row
@@ -1038,3 +1070,37 @@ def test_derived_search_work_is_bounded_at_high_rank(total, count):
     triples, walls = _triples_handed_to_the_predicate(total)
     assert walls == count
     assert triples <= 10**4
+
+
+SEARCH_INTERNALS = (
+    "_center_hull",
+    "_vacuity_radius_cap",
+    "_scan_torsion_members",
+    "_scan_rank",
+    "_scan_rank_zero_total",
+)
+
+
+@pytest.mark.parametrize(
+    "total", SIGNED_TOTALS + [v for v in HIGH_RANK_TOTALS if v.r < 0], ids=str
+)
+def test_search_internals_only_see_nonnegative_rank(total, monkeypatch):
+    # A class of negative rank reaches the certificate and the scans only as
+    # its derived dual, so none of them keeps a branch for r_v < 0.
+    seen: list = []
+    for name in SEARCH_INTERNALS:
+        def spy(ctx, *args, _name=name, _call=getattr(walls_module, name)):
+            seen.append((_name, ctx.rv))
+            return _call(ctx, *args)
+
+        monkeypatch.setattr(walls_module, name, spy)
+    assert enumerate_tilt_walls(total, Region(-100, 100, 10000))
+    scan = "_scan_rank_zero_total" if total.r == 0 else "_scan_rank"
+    assert {"_center_hull", "_vacuity_radius_cap", scan} <= {name for name, _ in seen}
+    assert all(rv >= 0 for _, rv in seen)
+
+
+def test_off_lattice_negative_rank_class_is_named_as_given():
+    total = ChernCharacter(-1, 0, Fraction(1, 2), 0)
+    with pytest.raises(ValueError, match=re.escape(f"lattice: {total}") + "$"):
+        enumerate_tilt_walls(total, REGION)
