@@ -44,9 +44,9 @@ is what makes a finite, certified enumeration possible; see
 Both searches decide the predicate one row ``(r, c)`` at a time, computing
 what depends only on the row once (:func:`_row_walls`).  The derived search
 first clips each row's window to the ``2d`` that pass the predicate's tests
-linear in ``2d`` (:func:`_clip_window`); the exhaustive scan feeds whole
-rows.  A class whose search cannot be certified finite is refused before
-any row is scanned.
+linear in ``2d`` (:func:`_clip_window`); the exhaustive scan feeds every
+lattice point of each row.  A class whose search cannot be certified finite
+is refused before any row is scanned.
 """
 
 from __future__ import annotations
@@ -435,7 +435,9 @@ def _row_walls(ctx: _WallContext, sink: dict, r: int, c: int, Ds: range) -> None
     enumeration and the exhaustive scan; the two strategies differ only in
     which rows they feed it.  Every test is on integers and runs on every
     triple, whatever window it is handed; survivors go into ``sink`` under
-    their pair key, the first one found winning.
+    their pair key, the first one found winning.  A survivor whose pair is
+    already kept is skipped before its circle and members are built, so each
+    wall is built once.
     """
     rv, cv, Dv = ctx.rv, ctx.cv, ctx.Dv
     k1 = rv * c - r * cv
@@ -476,11 +478,14 @@ def _row_walls(ctx: _WallContext, sink: dict, r: int, c: int, Ds: range) -> None
             slope = 2 * dg * K2 + G1m
             if at_top * at_top > slope * slope * quarter:
                 continue
+        key = _pair_key(ctx, r, c, D)
+        if key in sink:
+            continue  # this pair's wall is already kept
         circle = Circle(Fraction(K2, m), Fraction(quarter, mm))
         sub, quotient = _orient_pair(
             ChernTruncation(r, c, Fraction(D, 2)), ChernTruncation(ru, cu, Fraction(Du, 2))
         )
-        sink.setdefault(_pair_key(ctx, r, c, D), WallCandidate(circle, sub, quotient))
+        sink[key] = WallCandidate(circle, sub, quotient)
 
 
 def _clip_window(ctx: _WallContext, r: int, c: int, Ds: range) -> range:
@@ -539,16 +544,19 @@ def brute_force_walls(
 
     Applies exactly the same wall predicate as :func:`enumerate_tilt_walls`
     to every ``(r, c, 2d)`` with ``|r| <= r_max``, ``|c| <= c_max``,
-    ``|2d| <= two_d_max``, and reports the deduplicated, sorted walls.  Each
-    row goes to the predicate whole, never through :func:`_clip_window`,
-    so that comparing the two searches also checks the clip.
+    ``|2d| <= two_d_max`` and ``2d = c`` (mod 2), and reports the
+    deduplicated, sorted walls.  The parity is the truncation lattice, not a
+    pruning: each row goes to the predicate as its lattice points, the
+    step-2 range from the first ``2d >= -two_d_max`` of the row's parity.
+    That start is computed here and never through :func:`_clip_window`, so
+    that comparing the two searches also checks the clip.
     """
     ctx = _WallContext(v, region)
     found: dict = {}
-    Ds = range(-bounds.two_d_max, bounds.two_d_max + 1)
+    lo, hi = -bounds.two_d_max, bounds.two_d_max
     for r in range(-bounds.r_max, bounds.r_max + 1):
         for c in range(-bounds.c_max, bounds.c_max + 1):
-            _row_walls(ctx, found, r, c, Ds)
+            _row_walls(ctx, found, r, c, range(lo + (lo - c) % 2, hi + 1, 2))
     return _sorted_walls(found.values())
 
 
@@ -588,16 +596,26 @@ def _vacuity_radius_cap(ctx: _WallContext) -> Fraction:
     has the positivity form strictly negative on it.  A candidate with
     ``rho^2 <= t`` is centered in ``_center_hull(ctx, t)`` and ``|x - C_B|``
     is convex, so the farther hull end plus ``sqrt(t)``, rounded up, bounds
-    its reach from the disc center ``C_B``.  The result, found by bisection,
-    is a conservative lower bound for the true threshold; undershooting is
-    harmless (the search merely inspects more ranks).
+    its reach from the disc center ``C_B``.  The hull end ``C(0)`` does not
+    depend on ``t``, so its distance from ``C_B`` is computed once per class,
+    with ``mu - C_B`` and ``disc(v) / r_v^2``; each bisection step bounds only
+    ``sqrt(disc(v) / r_v^2 + t)`` and ``sqrt(t)``, on the grid of
+    :func:`_center_hull`.  The result, found by bisection, is a conservative
+    lower bound for the true threshold; undershooting is harmless (the search
+    merely inspects more ranks).
     """
     if ctx.bmt_radius_sq is None:
         return Fraction(0)
+    if ctx.rv:
+        base = Fraction(ctx.delta, ctx.rv * ctx.rv)
+        shift = ctx.mu - ctx.bmt_center
+        gap0 = abs(shift - _sqrt_bounds(base)[0])  # |C(0) - C_B|, C(0) rounded up
+    else:
+        gap0 = abs(ctx.d_v / ctx.v_tr.c - ctx.bmt_center)  # every center is d_v / c_v
 
     def certified(t: Fraction) -> bool:
-        lo, hi = _center_hull(ctx, t)
-        reach = max(abs(lo - ctx.bmt_center), abs(hi - ctx.bmt_center)) + _sqrt_bounds(t)[1]
+        gap = max(gap0, abs(shift - _sqrt_bounds(base + t)[1])) if ctx.rv else gap0
+        reach = gap + _sqrt_bounds(t)[1]
         return reach * reach < ctx.bmt_radius_sq
 
     if not certified(Fraction(0)):

@@ -202,6 +202,17 @@ def test_walls_match_golden(capsys, v, name, count, window):
     assert json.loads(out)["count"] == count
 
 
+def test_brute_force_walls_match_golden(capsys):
+    # The oracle's box scan of the headline class, pinned as printed.
+    box = ("--r-max", "5", "--c-max", "20", "--two-d-max", "100")
+    code, out, err = invoke(
+        capsys, "walls", "--v", "1,0,-6,15", "--brute-force", *box, "--format", "json"
+    )
+    assert (code, err) == (0, "")
+    assert out.encode("utf-8") == (GOLDEN / "walls_bruteforce_headline.json").read_bytes()
+    assert json.loads(out)["count"] == 4
+
+
 def test_rank_four_walls_match_golden(capsys):
     # The hull windows of this class hold 77,165,808 triples; the clipped
     # windows hold 796.

@@ -265,6 +265,80 @@ def test_oracle_equivalence(total):
     assert enumerate_tilt_walls(total, REGION) == brute_force_walls(total, REGION, bounds)
 
 
+#: Boxes with odd and even ``two_d_max``, including ``two_d_max = 0``; every
+#: box holds rows of negative ``c``.
+LATTICE_BOXES = [
+    (V, SearchBounds(2, 5, 7)),
+    (V, SearchBounds(3, 4, 10)),
+    (ChernCharacter(-2, -6, -3, 19), SearchBounds(1, 3, 0)),
+    (ChernCharacter(0, 6, -9, 7), SearchBounds(0, 6, 1)),
+    (HIGH_RANK_TOTALS[0], SearchBounds(4, 9, 24)),
+]
+
+
+@pytest.mark.parametrize("total, bounds", LATTICE_BOXES, ids=str)
+def test_oracle_visits_only_the_lattice(total, bounds, monkeypatch):
+    rows: list = []
+    row_walls = walls_module._row_walls
+
+    def record(ctx, sink, r, c, Ds):
+        rows.append((r, c, Ds))
+        row_walls(ctx, sink, r, c, Ds)
+
+    monkeypatch.setattr(walls_module, "_row_walls", record)
+    walls = brute_force_walls(total, REGION, bounds)
+    t = bounds.two_d_max
+    box_rows = [
+        (r, c) for r in range(-bounds.r_max, bounds.r_max + 1)
+        for c in range(-bounds.c_max, bounds.c_max + 1)
+    ]
+    assert [(r, c) for r, c, _ in rows] == box_rows
+    for r, c, Ds in rows:
+        # the first 2d = c (mod 2) at or above -two_d_max, stepping by 2
+        assert Ds.step == 2 and (Ds.start - c) % 2 == 0
+        assert -t <= Ds.start < -t + 2
+        assert all(-t <= D <= t for D in Ds)
+    lattice = sum(
+        1 for r, c in box_rows for D in range(-t, t + 1) if (D - c) % 2 == 0
+    )
+    assert sum(len(Ds) for _, _, Ds in rows) == lattice
+    # whole step-1 rows, whose off-lattice triples the predicate rejects
+    # one by one, keep the same walls
+    ctx, whole = walls_module._WallContext(total, REGION), {}
+    for r, c in box_rows:
+        row_walls(ctx, whole, r, c, range(-t, t + 1))
+    assert walls == walls_module._sorted_walls(whole.values())
+
+
+def _count_built(monkeypatch) -> list:
+    built = [0]
+    candidate = walls_module.WallCandidate
+
+    def counting(*args):
+        built[0] += 1
+        return candidate(*args)
+
+    monkeypatch.setattr(walls_module, "WallCandidate", counting)
+    return built
+
+
+@pytest.mark.parametrize("total", ORACLE_TOTALS, ids=str)
+def test_each_oracle_wall_is_built_once(total, monkeypatch):
+    # Both members of a pair often lie in the box; the second one found is
+    # skipped before its wall is built.
+    built = _count_built(monkeypatch)
+    walls = brute_force_walls(total, REGION, SearchBounds(5, 20, 100))
+    assert built[0] == len(walls)
+
+
+@pytest.mark.parametrize("total", [t for t in ORACLE_TOTALS if t.r > 0], ids=str)
+def test_each_derived_wall_is_built_once(total, monkeypatch):
+    # The outside-rank loop scans the complementary ranks r_v + n and -n.
+    built = _count_built(monkeypatch)
+    walls = enumerate_tilt_walls(total, REGION)
+    assert built[0] == len(walls)
+
+
 def _reference_meets_region(circle: Circle, region: Region) -> bool:
     """The region test as it stood on Fractions, before it moved to integers."""
 
@@ -788,6 +862,29 @@ def test_vacuity_cap_matches_reference_on_curve_classes(n):
     for degree in range(1, 12):
         for genus in range(20):
             certified += _assert_cap_matches_reference(curve_ideal_ch(degree, genus).twist(n)) > 0
+    assert certified > 0
+
+
+@pytest.mark.parametrize("n", [-3, 0, 2])
+def test_vacuity_cap_bounds_few_square_roots(n, monkeypatch):
+    # The hull end C(0) is bounded once per class; each of the 49 steps
+    # bounds sqrt(disc(v)/r_v^2 + t) and sqrt(t): 99 bounds, not 147.
+    calls = [0]
+    sqrt_bounds = walls_module._sqrt_bounds
+
+    def counting(x):
+        calls[0] += 1
+        return sqrt_bounds(x)
+
+    monkeypatch.setattr(walls_module, "_sqrt_bounds", counting)
+    curves = (curve_ideal_ch(d, g).twist(n) for d in range(1, 12) for g in range(20))
+    certified = 0
+    for total in (V, *curves):
+        calls[0] = 0
+        ctx = walls_module._WallContext(*_canonical(total, Region(-6, 0, 16)))
+        if walls_module._vacuity_radius_cap(ctx) > 0:
+            certified += 1
+            assert calls[0] <= 100, total
     assert certified > 0
 
 
