@@ -261,18 +261,24 @@ def parse_chern(text: str) -> ChernCharacter:
     return ChernCharacter(*values)
 
 
+def _parse_integer(text: str) -> int:
+    """Parse ``[+-]?digits`` in ASCII; reject anything else."""
+    body = text[1:] if text[:1] in ("+", "-") else text
+    # isdigit and int also accept other scripts' digits, and int underscores
+    if not (body.isascii() and body.isdigit()):
+        raise ValueError(f"invalid integer {text!r}")
+    return int(text)
+
+
 def _parse_rational(text: str) -> Fraction:
-    """Parse ``p`` or ``p/q`` with optional sign; reject anything else."""
-    if not text:
-        raise ValueError("empty rational")
-    if not text.isascii():  # isdigit and int also accept other scripts' digits
-        raise ValueError(f"invalid rational {text!r}")
+    """Parse ``p`` or ``p/q``, with an optional sign on ``p`` only and
+    ``q > 0``; reject anything else."""
     num, slash, den = text.partition("/")
-    body = num[1:] if num[:1] in "+-" else num
-    if not body.isdigit():
+    try:
+        p = _parse_integer(num)
+        q = _parse_integer(den) if slash else 1
+    except ValueError:
+        q = 0
+    if q == 0 or den[:1] in ("+", "-"):
         raise ValueError(f"invalid rational {text!r}")
-    if slash:
-        if not den.isdigit() or int(den) == 0:
-            raise ValueError(f"invalid rational {text!r}")
-        return Fraction(int(num), int(den))
-    return Fraction(int(num))
+    return Fraction(p, q)

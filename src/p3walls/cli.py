@@ -20,6 +20,7 @@ from typing import Optional
 from . import genus4, plotting
 from .chern import (
     ChernCharacter,
+    _parse_integer,
     _parse_rational,
     euler_pairing,
     format_chern,
@@ -58,10 +59,14 @@ def _rational_arg(text: str) -> Fraction:
 
 
 def _bound_arg(text: str) -> int:
-    if not (text.isascii() and text.isdigit()):
+    try:
+        value = _parse_integer(text)
+    except ValueError:
+        value = -1
+    if value < 0:
         raise argparse.ArgumentTypeError(
             f"invalid bound {text!r} (expected a nonnegative integer)")
-    return int(text)
+    return value
 
 
 def _resolution_term(text: str) -> tuple[int, int]:
@@ -71,12 +76,9 @@ def _resolution_term(text: str) -> tuple[int, int]:
             f"expected TWIST:COEFF, got {text!r}"
         )
     try:
-        values = [_parse_rational(part) for part in (twist, coeff)]
+        return _parse_integer(twist), _parse_integer(coeff)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(f"bad term {text!r}: {exc}")
-    if any(value.denominator != 1 for value in values):
-        raise argparse.ArgumentTypeError(f"bad term {text!r}: expected integers")
-    return int(values[0]), int(values[1])
 
 
 def _region_from(args: argparse.Namespace) -> Region:

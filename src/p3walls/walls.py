@@ -54,6 +54,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Optional
 
@@ -221,11 +222,6 @@ def on_hyperbola(v: ChernCharacter | ChernTruncation, point: TiltPoint) -> bool:
     return nu(_truncation(v), point) == 0
 
 
-def _ge_sqrt(a: Fraction, x: Fraction) -> bool:
-    """Exact test ``a >= sqrt(x)`` for ``x >= 0``."""
-    return a >= 0 and a * a >= x
-
-
 def _region_ints(region: Region) -> tuple[int, int, int, int, int]:
     """``(q, B_min, B_max, a_num, a_den)``: the edges over their common
     denominator ``q`` are ``B_min / q`` and ``B_max / q``, the height cap is
@@ -282,47 +278,29 @@ def circle_meets_region(circle: Circle, region: Region) -> bool:
     return _meets_region(_region_ints(region), K2, quarter, m)
 
 
-def _le_sum_of_sqrts(q: Fraction, x: Fraction, y: Fraction) -> bool:
-    """Exact test ``q <= sqrt(x) + sqrt(y)`` for ``x, y >= 0``."""
-    if q <= 0:
-        return True
-    lhs = q * q - x - y
-    if lhs <= 0:
-        return True
-    return lhs * lhs <= 4 * x * y
-
-
-def _plus_sqrt_le_sqrt(q: Fraction, x: Fraction, y: Fraction) -> bool:
-    """Exact test ``q + sqrt(x) <= sqrt(y)`` for ``x, y >= 0``."""
-    if q <= 0:
-        if _ge_sqrt(-q, x):
-            return True  # left side is <= 0
-        # left side positive: sqrt(x) <= sqrt(y) + |q|
-        spill = x - y - q * q
-        return spill <= 0 or spill * spill <= 4 * q * q * y
-    # q > 0: square once; 2 q sqrt(x) <= y - q^2 - x
-    room = y - q * q - x
-    if room < 0:
-        return False
-    return 4 * q * q * x <= room * room
-
-
 def nested(a: Circle, b: Circle) -> NestedRelation:
     """Exact mutual position of two wall circles.
 
     Internal tangency is reported as nesting and external tangency as
     disjointness, matching how the chambers they bound behave.
+
+    With ``g`` the distance of the centers and ``x``, ``y`` the squared
+    radii, the circles cross exactly when
+    ``|sqrt(x) - sqrt(y)| < g < sqrt(x) + sqrt(y)``, which squares to
+    ``L^2 < 4 x y`` for ``L = x + y - g^2``.  Otherwise ``L <= 0`` means
+    ``g >= sqrt(x) + sqrt(y)`` (disjoint), and ``L > 0`` means
+    ``g <= |sqrt(x) - sqrt(y)|``: the circle of smaller radius is inside.
     """
     if a == b:
         return NestedRelation.EQUAL
-    gap = abs(a.center - b.center)
-    if _plus_sqrt_le_sqrt(gap, a.radius_sq, b.radius_sq):
-        return NestedRelation.FIRST_INSIDE_SECOND
-    if _plus_sqrt_le_sqrt(gap, b.radius_sq, a.radius_sq):
-        return NestedRelation.SECOND_INSIDE_FIRST
-    if not _le_sum_of_sqrts(gap, a.radius_sq, b.radius_sq):
+    x, y = a.radius_sq, b.radius_sq
+    gap = a.center - b.center
+    L = x + y - gap * gap
+    if L * L < 4 * x * y:
+        return NestedRelation.CROSSING
+    if L <= 0:
         return NestedRelation.DISJOINT
-    return NestedRelation.CROSSING
+    return NestedRelation.FIRST_INSIDE_SECOND if x < y else NestedRelation.SECOND_INSIDE_FIRST
 
 
 # ---------------------------------------------------------------------------
@@ -383,7 +361,6 @@ class _WallContext:
         self.rv = int(tr.r)
         self.cv = int(tr.c)
         self.Dv = int(2 * tr.d)
-        self.d_v = tr.d
         self.delta = self.cv * self.cv - self.rv * self.Dv  # integer discriminant
         # g1 = -2 c_v d_v + 6 r_v e_v and g0 = 4 d_v^2 - 6 c_v e_v over their
         # least common denominator g: g1 = G1 / g, g0 = G0 / g.
@@ -401,6 +378,14 @@ class _WallContext:
             self.bmt_radius_sq = Fraction(
                 self.G1 * self.G1 - 4 * self.G0 * self.delta_g, 4 * self.delta_g * self.delta_g
             )
+
+    @cached_property
+    def hull_hi(self) -> Fraction:
+        """The fixed end ``C(0)`` of :func:`_center_hull`, rounded up, bounded
+        once per class; for rank zero, ``D_v / (2 c_v)``, every circle's center."""
+        if not self.rv:
+            return Fraction(self.Dv, 2 * self.cv)
+        return self.mu - _sqrt_bounds(Fraction(self.delta, self.rv * self.rv))[0]
 
 
 def _row_lines(ctx: _WallContext, r: int, c: int, k1: int) -> tuple:
@@ -579,13 +564,12 @@ def _center_hull(ctx: _WallContext, t: Fraction) -> tuple[Fraction, Fraction]:
     A candidate's top lies on the slope-zero locus of ``v``, so its center is
     ``C(rho^2)`` with ``C(t) = mu - sqrt(disc(v)/r_v^2 + t)`` (admissible
     branch, ``r_v > 0``), decreasing; the hull runs from ``C(t)`` to
-    ``C(0)``, rounded outward.  For rank zero every center is ``d_v / c_v``.
+    ``C(0)`` (:attr:`_WallContext.hull_hi`), rounded outward.  For rank zero
+    every center is ``D_v / (2 c_v)``.
     """
     if not ctx.rv:
-        center = ctx.d_v / ctx.v_tr.c
-        return center, center
-    base = Fraction(ctx.delta, ctx.rv * ctx.rv)
-    return ctx.mu - _sqrt_bounds(base + t)[1], ctx.mu - _sqrt_bounds(base)[0]
+        return ctx.hull_hi, ctx.hull_hi
+    return ctx.mu - _sqrt_bounds(Fraction(ctx.delta, ctx.rv * ctx.rv) + t)[1], ctx.hull_hi
 
 
 def _vacuity_radius_cap(ctx: _WallContext) -> Fraction:
@@ -597,21 +581,19 @@ def _vacuity_radius_cap(ctx: _WallContext) -> Fraction:
     ``rho^2 <= t`` is centered in ``_center_hull(ctx, t)`` and ``|x - C_B|``
     is convex, so the farther hull end plus ``sqrt(t)``, rounded up, bounds
     its reach from the disc center ``C_B``.  The hull end ``C(0)`` does not
-    depend on ``t``, so its distance from ``C_B`` is computed once per class,
-    with ``mu - C_B`` and ``disc(v) / r_v^2``; each bisection step bounds only
-    ``sqrt(disc(v) / r_v^2 + t)`` and ``sqrt(t)``, on the grid of
-    :func:`_center_hull`.  The result, found by bisection, is a conservative
-    lower bound for the true threshold; undershooting is harmless (the search
-    merely inspects more ranks).
+    depend on ``t``, so its distance from ``C_B`` is computed once per class;
+    each bisection step bounds only ``sqrt(disc(v) / r_v^2 + t)``, against
+    ``mu - C_B``, and ``sqrt(t)``, on the grid of :func:`_center_hull`.  The
+    result, found by bisection, is a conservative lower bound for the true
+    threshold; undershooting is harmless (the search merely inspects more
+    ranks).
     """
     if ctx.bmt_radius_sq is None:
         return Fraction(0)
+    gap0 = abs(ctx.hull_hi - ctx.bmt_center)  # |C(0) - C_B|, C(0) rounded up
     if ctx.rv:
         base = Fraction(ctx.delta, ctx.rv * ctx.rv)
         shift = ctx.mu - ctx.bmt_center
-        gap0 = abs(shift - _sqrt_bounds(base)[0])  # |C(0) - C_B|, C(0) rounded up
-    else:
-        gap0 = abs(ctx.d_v / ctx.v_tr.c - ctx.bmt_center)  # every center is d_v / c_v
 
     def certified(t: Fraction) -> bool:
         gap = max(gap0, abs(shift - _sqrt_bounds(base + t)[1])) if ctx.rv else gap0
@@ -653,14 +635,19 @@ def _scan_rank(ctx: _WallContext, sink: dict, r: int, t_hi: Fraction) -> None:
 
     The center lies in :func:`_center_hull`; admissibility pins ``c`` into
     ``(C r, C r + im_v(top))``; and for fixed ``(r, c)`` the center is an
-    injective affine function of ``d``.  Windows are rounded outward and the
-    exact predicate does all the rejection.
+    injective affine function of ``d``; for a rank-zero total, whose circles
+    all have the center ``C = D_v / (2 c_v)``, the squared radius is.
+    Windows are rounded outward and the exact predicate does all the
+    rejection.
 
     The windows are decided on integers: each hull end is written ``n / q``
     over one denominator once per rank, and a row's ``2d``-window runs
-    between ``(2 n k1 + r D_v q) / (r_v q)`` for the two ends, with
-    ``k1 = r_v c - r c_v`` and ``r_v > 0``.  Its numerator is affine in
-    ``c``, so each row costs two products and two floor divisions.
+    between two numerators affine in ``c`` over one positive denominator,
+    so each row costs two products and two floor divisions.  With
+    ``k1 = r_v c - r c_v``, the ends are ``(2 n k1 + r D_v q) / (r_v q)``
+    for the two hull ends when ``r_v > 0``; for rank zero, from
+    ``rho^2 = C^2 - (c_v D - c D_v) / k1``, they are
+    ``(c D_v + k1 (C^2 - rho^2)) / c_v`` at ``rho^2 = 0`` and ``t_hi``.
 
     The hull window of a row can be far wider than its walls: the middle-rank
     cap ``disc(v) / (2 r_v gap)`` exceeds a hundred for some small classes
@@ -676,47 +663,20 @@ def _scan_rank(ctx: _WallContext, sink: dict, r: int, t_hi: Fraction) -> None:
     # Admissibility at the top: C r < c < C r + c_v - r_v C, over q.
     rn = (r * ends[0], r * ends[1])
     im_hi = max(cv * q - rv * n for n in ends)
-    (a0, b0), (a1, b1) = ((2 * n * rv, r * (Dv * q - 2 * n * cv)) for n in ends)
-    den = rv * q
+    if rv:
+        (a0, b0), (a1, b1) = ((2 * n * rv, r * (Dv * q - 2 * n * cv)) for n in ends)
+        den = rv * q
+    else:
+        # Over c_v q^2 t_d, with t_hi = t_n / t_d and k1 = -r c_v.
+        n, tn, td = ends[0], t_hi.numerator, t_hi.denominator
+        a0 = a1 = Dv * q * q * td
+        b0 = -r * cv * n * n * td
+        b1 = b0 + r * cv * q * q * tn
+        den = cv * q * q * td
     for c in range(-(-min(rn) // q), (max(rn) + im_hi) // q + 1):
         x0, x1 = a0 * c + b0, a1 * c + b1
         Ds = range(-(-min(x0, x1) // den), max(x0, x1) // den + 1)
         _row_walls(ctx, sink, r, c, _clip_window(ctx, r, c, Ds))
-
-
-def _scan_rank_zero_total(ctx: _WallContext, sink: dict, t_stop: Fraction) -> None:
-    """Enumeration for a rank-zero total class.
-
-    All slope-equality circles share the center ``d_v / c_v``, and a member
-    of rank ``r`` forces ``2 |r| rho <= c_v``, so the rank loop is closed by
-    the certified vacuity radius alone.  The caller has already returned for
-    ``c_v <= 0`` and refused a class with ``t_stop <= 0``.
-
-    The windows are decided on integers from the center ``C = n / q`` of
-    :func:`_center_hull`: from
-    ``rho^2 = C^2 - (c_v D - c D_v) / k1``, the ``2d``-window of a row runs
-    between ``D = (c D_v + k1 (C^2 - t)) / c_v`` at ``t = 0`` and at the cap
-    ``t = c_v^2 / (4 r^2)``, both over the positive denominator
-    ``4 r^2 c_v q^2``, and is then clipped (:func:`_clip_window`).
-    """
-    cv, Dv = ctx.cv, ctx.Dv
-    center = _center_hull(ctx, t_stop)[0]
-    n, q = center.numerator, center.denominator
-    r = 1
-    while cv * cv * t_stop.denominator > 4 * r * r * t_stop.numerator:
-        den = 4 * r * r * cv * q * q
-        for rr in (r, -r):
-            k1 = -rr * cv
-            # 4 r^2 c_v q^2 D = a c + b - 4 r^2 q^2 k1 t, and at the cap
-            # 4 r^2 q^2 k1 t = k1 c_v^2 q^2.
-            a, b = 4 * r * r * Dv * q * q, 4 * r * r * k1 * n * n
-            cap = k1 * cv * cv * q * q
-            for c in range(n * rr // q, -(-(n * rr + cv * q) // q) + 1):
-                x0 = a * c + b
-                x1 = x0 - cap
-                Ds = range(-(-min(x0, x1) // den), max(x0, x1) // den + 1)
-                _row_walls(ctx, sink, rr, c, _clip_window(ctx, rr, c, Ds))
-        r += 1
 
 
 def enumerate_tilt_walls(
@@ -736,15 +696,18 @@ def enumerate_tilt_walls(
     participating slope vanishes.  For ``r_v >= 0``:
 
     * discriminants of an admissible pair obey ``disc(w) + disc(v-w) <= disc(v)``,
-      so a rank-zero member has ``0 < c < sqrt(disc(v))``, finitely many
-      values with closed ``d``-windows;
+      so for ``r_v > 0`` a rank-zero member has ``0 < c < sqrt(disc(v))``,
+      finitely many values with closed ``d``-windows (for ``r_v = 0`` its
+      locus is vertical);
     * a member rank ``0 < r < r_v`` satisfies
       ``|c - r c_v / r_v| <= disc(v) / (2 r_v rho)``, which caps the radius
       because the integer ``c`` keeps a fixed distance from that center line;
     * ranks outside ``[0, r_v]`` obey ``rho^2 <= disc(v) / (n^2 - r_v^2)``
       with ``n = |r| + |r_v - r| > r_v``, a cap decreasing to zero, and the
       rank loop stops once it falls below the certified vacuity radius of
-      :func:`_vacuity_radius_cap`.
+      :func:`_vacuity_radius_cap`.  For a rank-zero total every member
+      rank is outside, ``n = 2 |r|`` and the cap reads ``2 |r| rho <= c_v``;
+      all its circles share the center ``D_v / (2 c_v)``.
 
     A class of negative rank is searched as its derived dual
     ``ch(E^v[1]) = (-r, c, -d, e)`` over the region mirrored by ``beta -> -beta``,
@@ -789,10 +752,8 @@ def _derived_walls(ctx: _WallContext) -> list[WallCandidate]:
                       " the candidate circles)")
         raise WallSearchError(f"{reason}; pass explicit SearchBounds")
     found: dict = {}
-    if ctx.rv == 0:
-        _scan_rank_zero_total(ctx, found, t_stop)
-        return _sorted_walls(found.values())
-    _scan_torsion_members(ctx, found)
+    if ctx.rv:
+        _scan_torsion_members(ctx, found)
     for k in range(1, ctx.rv):  # member ranks strictly between 0 and r_v
         g = min(k * ctx.cv % ctx.rv, -k * ctx.cv % ctx.rv) or ctx.rv  # r_v * gap
         _scan_rank(ctx, found, k, Fraction(ctx.delta, 2 * g) ** 2)

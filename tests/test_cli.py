@@ -108,8 +108,9 @@ def test_walls_custom_region(capsys):
 
 @pytest.mark.parametrize(
     "bounds",
-    [("--r-max=-3",), ("--r-max", "100000", "--c-max", "100000")],
-    ids=["negative", "oversized"],
+    [("--r-max=-3",), ("--r-max", "100000", "--c-max", "100000"), ("--r-max=\u0661",),
+     ("--r-max=1_0",), ("--r-max=+",)],
+    ids=["negative", "oversized", "non-ascii", "underscore", "sign-only"],
 )
 def test_brute_force_box_is_bounded(capsys, bounds):
     start = time.perf_counter()
@@ -117,6 +118,17 @@ def test_brute_force_box_is_bounded(capsys, bounds):
     elapsed = time.perf_counter() - start
     assert code == 2 and out == "" and "error" in err
     assert elapsed < 0.1
+
+
+def test_box_bounds_take_the_integer_grammar(capsys):
+    # the grammar of --term: an explicit sign is allowed, a negative value is not
+    code, out, _ = invoke(
+        capsys,
+        "walls", "--v", "1,0,-6,15", "--brute-force",
+        "--r-max=+3", "--c-max", "12", "--two-d-max", "40",
+        "--format", "json",
+    )
+    assert code == 0 and json.loads(out)["count"] == 4
 
 
 def test_brute_force_default_box(capsys):
@@ -272,8 +284,10 @@ def test_rationals_outside_p_over_q_are_usage_errors(capsys, argv):
 
 @pytest.mark.parametrize(
     "term",
-    ["--term=\u0661:1", "--term=1_0:1", "--term= 2:1", "--term=2:\u0661", "--term=1/2:1"],
-    ids=["non-ascii-twist", "underscore", "space", "non-ascii-coeff", "fraction"],
+    ["--term=\u0661:1", "--term=1_0:1", "--term= 2:1", "--term=2:\u0661", "--term=1/2:1",
+     "--term=4/2:1", "--term=2:-0/5"],
+    ids=["non-ascii-twist", "underscore", "space", "non-ascii-coeff", "fraction",
+         "integral-fraction", "zero-fraction"],
 )
 def test_resolution_terms_outside_the_integer_grammar_are_usage_errors(capsys, term):
     start = time.perf_counter()

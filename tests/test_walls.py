@@ -102,6 +102,42 @@ def test_nested_relations():
     assert nested(Circle(-4, 4), Circle(-4, 1)) == NestedRelation.SECOND_INSIDE_FIRST
     assert nested(Circle(0, 1), Circle(10, 1)) == NestedRelation.DISJOINT
     assert nested(Circle(0, 4), Circle(3, 4)) == NestedRelation.CROSSING
+    # external tangency is disjointness, internal tangency is nesting
+    assert nested(Circle(0, 1), Circle(2, 1)) == NestedRelation.DISJOINT
+    assert nested(Circle(0, 4), Circle(3, 1)) == NestedRelation.DISJOINT
+    assert nested(Circle(3, 1), Circle(0, 4)) == NestedRelation.DISJOINT
+    assert nested(Circle(0, Fraction(1, 4)), Circle(Fraction(-3, 2), 1)) == NestedRelation.DISJOINT
+    assert nested(Circle(0, 4), Circle(1, 1)) == NestedRelation.SECOND_INSIDE_FIRST
+    assert nested(Circle(1, 1), Circle(0, 4)) == NestedRelation.FIRST_INSIDE_SECOND
+
+
+def _reference_nested(a: tuple, b: tuple) -> NestedRelation:
+    """The relation of two circles given as ``(center, radius)``."""
+    (ca, ra), (cb, rb) = a, b
+    gap = abs(ca - cb)
+    if (ca, ra) == (cb, rb):
+        return NestedRelation.EQUAL
+    if gap >= ra + rb:
+        return NestedRelation.DISJOINT
+    if gap <= rb - ra:
+        return NestedRelation.FIRST_INSIDE_SECOND
+    if gap <= ra - rb:
+        return NestedRelation.SECOND_INSIDE_FIRST
+    return NestedRelation.CROSSING
+
+
+_circle_data = st.tuples(
+    st.fractions(-4, 4, max_denominator=3), st.fractions(0, 4, max_denominator=3).filter(bool)
+)
+
+
+@given(_circle_data, _circle_data)
+@example((Fraction(0), Fraction(1)), (Fraction(2), Fraction(1)))  # external tangency
+@example((Fraction(0), Fraction(2)), (Fraction(1), Fraction(1)))  # internal tangency
+@settings(max_examples=300, deadline=None)
+def test_nested_matches_reference_on_rational_radii(a, b):
+    circles = [Circle(center, radius * radius) for center, radius in (a, b)]
+    assert nested(*circles) == _reference_nested(a, b)
 
 
 def test_bmt_zero_circle():
@@ -537,7 +573,7 @@ def test_rank_zero_exits_are_decided_before_the_scan(monkeypatch):
     def fail(*args):
         raise AssertionError("scanned or certified a class decided without either")
 
-    monkeypatch.setattr(walls_module, "_scan_rank_zero_total", fail)
+    monkeypatch.setattr(walls_module, "_scan_rank", fail)
     with pytest.raises(WallSearchError, match="rank-zero"):
         enumerate_tilt_walls(REFUSED_TOTALS[2], REGION)
     # c_v < 0 leaves no admissible top: no certificate is computed either
@@ -815,7 +851,7 @@ def _reference_vacuity_cap(ctx: walls_module._WallContext) -> Fraction:
                     else:
                         ends = (mu + lo - ctx.bmt_center, mu + hi - ctx.bmt_center)
                 else:
-                    fixed = ctx.d_v / ctx.v_tr.c - ctx.bmt_center
+                    fixed = ctx.v_tr.d / ctx.v_tr.c - ctx.bmt_center
                     ends = (fixed, fixed)
                 worst = max(worst, abs(ends[0]), abs(ends[1]))
             reach = worst + _reference_sqrt_bounds(t, bits)[1]
@@ -893,7 +929,7 @@ def test_vacuity_cap_bounds_few_square_roots(n, monkeypatch):
     [
         # C(t) = -sqrt(4 + t): C(0) = -2 and C(5) = -3
         (ChernCharacter(1, 0, -2, 0), 5, (-3, -2)),
-        # rank zero: every circle is centered at d_v / c_v
+        # rank zero: every circle is centered at D_v / (2 c_v)
         (ChernCharacter(0, 1, Fraction(-1, 2), Fraction(1, 6)), 7, (Fraction(-1, 2),)),
     ],
     ids=["rank-one", "rank-zero"],
@@ -922,7 +958,7 @@ def _reference_scan_torsion_members(ctx: walls_module._WallContext, sink: dict) 
     if ctx.delta < 1:
         return
     for c in range(1, math.isqrt(ctx.delta - 1) + 1):
-        disc_side = ctx.d_v - Fraction((cv - c) ** 2, 2 * rv)
+        disc_side = ctx.v_tr.d - Fraction((cv - c) ** 2, 2 * rv)
         adm_side = Fraction(c * (cv - c), rv)
         lo, hi = (disc_side, adm_side) if rv > 0 else (adm_side, disc_side)
         walls_module._row_walls(
@@ -935,42 +971,36 @@ def _reference_scan_rank(
 ) -> None:
     """The rank scan as it stood with Fraction windows."""
     rv = ctx.rv
+    if rv == 0:
+        return _reference_scan_rank_zero_total(ctx, sink, r, t_hi)
     window = walls_module._center_hull(ctx, t_hi)
     im_hi = max(ctx.cv - rv * C for C in window)
     ends = (window[0] * r, window[1] * r)
     for c in range(math.ceil(min(ends)), math.floor(max(ends) + im_hi) + 1):
         k1 = rv * c - r * ctx.cv
-        d_ends = [(C * k1 + r * ctx.d_v) / rv for C in window]
+        d_ends = [(C * k1 + r * ctx.v_tr.d) / rv for C in window]
         Ds = range(math.ceil(2 * min(d_ends)), math.floor(2 * max(d_ends)) + 1)
         walls_module._row_walls(ctx, sink, r, c, Ds)
 
 
 def _reference_scan_rank_zero_total(
-    ctx: walls_module._WallContext, sink: dict, t_stop: Fraction
+    ctx: walls_module._WallContext, sink: dict, r: int, t_hi: Fraction
 ) -> None:
-    """The rank-zero scan as it stood with Fraction windows."""
+    """One rank of a rank-zero total's scan on Fractions.
+
+    Every circle has the center ``C = d_v / c_v``, which no hull computes
+    here.  Admissibility at the top is ``C r < c < C r + c_v``, and from
+    ``rho^2 = C^2 - (c_v D - c D_v) / k1`` a row's ``2d``-window runs
+    between ``(c D_v + k1 (C^2 - rho^2)) / c_v`` at ``rho^2 = 0`` and
+    ``t_hi``, with ``k1 = -r c_v``.
+    """
     cv = ctx.cv
-    if cv <= 0:
-        return
-    if t_stop <= 0:
-        raise WallSearchError(
-            "cannot certify a finite search for this rank-zero class "
-            "(no vacuity disc); pass explicit SearchBounds"
-        )
-    center = walls_module._center_hull(ctx, t_stop)[0]
-    r = 1
-    while Fraction(cv * cv, 4 * r * r) > t_stop:
-        t_hi = Fraction(cv * cv, 4 * r * r)
-        for rr in (r, -r):
-            for c in range(math.floor(center * rr), math.ceil(center * rr + cv) + 1):
-                k1 = -rr * cv
-                d_ends = [
-                    (c * ctx.Dv + k1 * (center * center - t)) / cv
-                    for t in (Fraction(0), t_hi)
-                ]
-                Ds = range(math.ceil(min(d_ends)), math.floor(max(d_ends)) + 1)
-                walls_module._row_walls(ctx, sink, rr, c, Ds)
-        r += 1
+    center = ctx.v_tr.d / cv
+    k1 = -r * cv
+    for c in range(math.ceil(center * r), math.floor(center * r + cv) + 1):
+        d_ends = [(c * ctx.Dv + k1 * (center * center - t)) / cv for t in (Fraction(0), t_hi)]
+        Ds = range(math.ceil(min(d_ends)), math.floor(max(d_ends)) + 1)
+        walls_module._row_walls(ctx, sink, r, c, Ds)
 
 
 def _scanned_rows(total: ChernCharacter, reference: bool) -> list:
@@ -992,7 +1022,6 @@ def _scanned_rows(total: ChernCharacter, reference: bool) -> list:
         if reference:
             mp.setattr(walls_module, "_scan_torsion_members", _reference_scan_torsion_members)
             mp.setattr(walls_module, "_scan_rank", _reference_scan_rank)
-            mp.setattr(walls_module, "_scan_rank_zero_total", _reference_scan_rank_zero_total)
         try:
             enumerate_tilt_walls(total, REGION)
         except WallSearchError:
@@ -1054,6 +1083,70 @@ def test_scan_windows_match_fraction_reference_on_curve_classes(n):
         for genus in range(20):
             rows += _assert_windows_match_reference(curve_ideal_ch(degree, genus).twist(n))
     assert rows > 0
+
+
+def _reference_rank_sequence(total: ChernCharacter) -> list:
+    """Every ``(r, t_hi)`` the derived search should hand to the rank scan,
+    in order, recomputed on Fractions from the derived bounds, ending in
+    ``"refused"`` when the class is refused.
+
+    The middle ranks ``0 < k < r_v`` come first, each at
+    ``(disc(v) / (2 r_v gap))^2`` with ``gap`` the distance from
+    ``k c_v / r_v`` to the nearest other integer.  Then the outside ranks
+    ``r_v + e`` and ``-e`` follow at ``disc(v) / (n^2 - r_v^2)``,
+    ``n = r_v + 2 e``, for as long as that cap exceeds the reference
+    vacuity radius.
+    """
+    total, region = _canonical(total, REGION)
+    rv, cv, disc = int(total.r), int(total.c), total.discriminant()
+    if disc <= 0 or (rv == 0 and cv <= 0):
+        return []
+    t_stop = _reference_vacuity_cap(walls_module._WallContext(total, region))
+    if t_stop <= 0:
+        return ["refused"]
+    ranks = []
+    for k in range(1, rv):
+        x = Fraction(k * cv, rv)
+        gap = min(x - math.floor(x), math.ceil(x) - x) or 1
+        ranks.append((k, (disc / (2 * rv * gap)) ** 2))
+    e = 1
+    while (cap := disc / ((rv + 2 * e) ** 2 - rv * rv)) > t_stop:
+        ranks += [(rv + e, cap), (-e, cap)]
+        e += 1
+    return ranks
+
+
+def _scanned_ranks(total: ChernCharacter) -> list:
+    """Every ``(r, t_hi)`` handed to the rank scan, in order, ending in
+    ``"refused"`` when the class is refused."""
+    ranks: list = []
+    scan_rank = walls_module._scan_rank
+
+    def record(ctx, sink, r, t_hi):
+        ranks.append((r, t_hi))
+        scan_rank(ctx, sink, r, t_hi)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(walls_module, "_scan_rank", record)
+        try:
+            enumerate_tilt_walls(total, REGION)
+        except WallSearchError:
+            ranks.append("refused")
+    return ranks
+
+
+@pytest.mark.parametrize("n", ["signed", -3, 0, 2])
+def test_rank_sequence_matches_fraction_reference(n):
+    # The stop rank is checked here, not by the window tests, whose reference
+    # runs inside the search's own rank loop.
+    if n == "signed":
+        totals = SIGNED_TOTALS
+    else:
+        totals = [curve_ideal_ch(d, g).twist(n) for d in range(1, 12) for g in range(20)]
+    sequences = [_scanned_ranks(total) for total in totals]
+    for total, ranks in zip(totals, sequences):
+        assert ranks == _reference_rank_sequence(total), total
+    assert any(ranks and ranks[-1] != "refused" for ranks in sequences)
 
 
 def _reference_clip(ctx: walls_module._WallContext, r: int, c: int, Ds: range) -> list:
@@ -1174,7 +1267,6 @@ SEARCH_INTERNALS = (
     "_vacuity_radius_cap",
     "_scan_torsion_members",
     "_scan_rank",
-    "_scan_rank_zero_total",
 )
 
 
@@ -1192,8 +1284,7 @@ def test_search_internals_only_see_nonnegative_rank(total, monkeypatch):
 
         monkeypatch.setattr(walls_module, name, spy)
     assert enumerate_tilt_walls(total, Region(-100, 100, 10000))
-    scan = "_scan_rank_zero_total" if total.r == 0 else "_scan_rank"
-    assert {"_center_hull", "_vacuity_radius_cap", scan} <= {name for name, _ in seen}
+    assert {"_center_hull", "_vacuity_radius_cap", "_scan_rank"} <= {name for name, _ in seen}
     assert all(rv >= 0 for _, rv in seen)
 
 
