@@ -3,8 +3,9 @@
 Results go to stdout, diagnostics to stderr.  Exit codes: 0 on success, 1
 for domain failures (an unbounded search, a rank-zero hyperbola request),
 2 for malformed invocations, which argparse reports itself, and for a
-``--brute-force`` box of more than ``MAX_BOX_TRIPLES`` triples, refused
-before any scan.  JSON output always carries ``"schema": "p3walls/1"``.
+``--brute-force`` box of more than ``MAX_BOX_TRIPLES`` triples or more than
+``MAX_BOX_ROWS`` rows ``(r, c)``, refused before any scan.  JSON output
+always carries ``"schema": "p3walls/1"``.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import sys
 from fractions import Fraction
 from typing import Optional
@@ -42,6 +42,9 @@ SCHEMA = "p3walls/1"
 
 #: Largest ``--brute-force`` box, counted in ``(r, c, 2d)`` triples.
 MAX_BOX_TRIPLES = 10**7
+#: Largest ``--brute-force`` box, counted in rows ``(r, c)``: each row is
+#: clipped before the predicate sees it, so a thin box costs per row.
+MAX_BOX_ROWS = 10**6
 
 
 def _chern_arg(text: str) -> ChernCharacter:
@@ -119,10 +122,11 @@ def _cmd_walls(args: argparse.Namespace) -> int:
     bounds: Optional[SearchBounds] = None
     if args.brute_force:
         bounds = SearchBounds(args.r_max, args.c_max, args.two_d_max)
-        triples = math.prod(2 * bound + 1 for bound in bounds)
-        if triples > MAX_BOX_TRIPLES:
-            print(f"error: the --brute-force box holds {triples} triples, "
-                  f"more than {MAX_BOX_TRIPLES}", file=sys.stderr)
+        rows = (2 * bounds.r_max + 1) * (2 * bounds.c_max + 1)
+        triples = rows * (2 * bounds.two_d_max + 1)
+        if triples > MAX_BOX_TRIPLES or rows > MAX_BOX_ROWS:
+            print(f"error: the --brute-force box holds {triples} triples in {rows} rows, "
+                  f"more than {MAX_BOX_TRIPLES} triples or {MAX_BOX_ROWS} rows", file=sys.stderr)
             return 2
     walls = enumerate_tilt_walls(args.v, region, bounds)
     if args.format == "json":

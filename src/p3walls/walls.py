@@ -42,11 +42,11 @@ is what makes a finite, certified enumeration possible; see
 :func:`enumerate_tilt_walls` for the derived search bounds.
 
 Both searches decide the predicate one row ``(r, c)`` at a time, computing
-what depends only on the row once (:func:`_row_walls`).  The derived search
-first clips each row's window to the ``2d`` that pass the predicate's tests
-linear in ``2d`` (:func:`_clip_window`); the exhaustive scan feeds every
-lattice point of each row.  A class whose search cannot be certified finite
-is refused before any row is scanned.
+what depends only on the row once (:func:`_row_walls`), and both first clip
+each row's window to the lattice points that pass the predicate's tests
+linear in ``2d`` (:func:`_clip_window`); they differ only in which rows they
+clip.  A class whose search cannot be certified finite is refused before
+any row is scanned.
 """
 
 from __future__ import annotations
@@ -481,8 +481,8 @@ def _clip_window(ctx: _WallContext, r: int, c: int, Ds: range) -> range:
     Each half-line ``a D >= b`` is one floor or ceiling division; a zero
     ``a`` leaves a constant test, which empties the window when it fails, as
     does ``k1 = 0``, where the predicate rejects the whole row.  The result
-    holds every triple of ``Ds`` that :func:`_row_walls` could keep, so the
-    derived scans hand it the clipped window; the predicate still runs every
+    holds every triple of ``Ds`` that :func:`_row_walls` could keep, so both
+    searches hand it the clipped window; the predicate still runs every
     test on each triple.
     """
     lo, hi = Ds.start, Ds.stop - 1
@@ -525,23 +525,24 @@ def _sorted_walls(walls: Iterable[WallCandidate]) -> list[WallCandidate]:
 def brute_force_walls(
     v: ChernCharacter, region: Region, bounds: SearchBounds
 ) -> list[WallCandidate]:
-    """Exhaustive oracle: test every lattice triple in the box, no pruning.
+    """Exhaustive oracle: every row of the box, with no derived bound.
 
     Applies exactly the same wall predicate as :func:`enumerate_tilt_walls`
-    to every ``(r, c, 2d)`` with ``|r| <= r_max``, ``|c| <= c_max``,
-    ``|2d| <= two_d_max`` and ``2d = c`` (mod 2), and reports the
-    deduplicated, sorted walls.  The parity is the truncation lattice, not a
-    pruning: each row goes to the predicate as its lattice points, the
-    step-2 range from the first ``2d >= -two_d_max`` of the row's parity.
-    That start is computed here and never through :func:`_clip_window`, so
-    that comparing the two searches also checks the clip.
+    to every lattice triple ``(r, c, 2d)`` with ``|r| <= r_max``,
+    ``|c| <= c_max`` and ``|2d| <= two_d_max`` that could be a wall, and
+    reports the deduplicated, sorted walls.  Each row ``(r, c)`` of the box
+    goes to the predicate as its window ``|2d| <= two_d_max`` clipped by
+    :func:`_clip_window`, the path of the derived scans: the clip drops only
+    off-lattice points and points that fail one of the predicate's linear
+    tests, so the oracle's walls are those of the whole box.  The oracle
+    takes none of the derived search's rank, ``c`` or radius bounds.
     """
     ctx = _WallContext(v, region)
     found: dict = {}
-    lo, hi = -bounds.two_d_max, bounds.two_d_max
+    Ds = range(-bounds.two_d_max, bounds.two_d_max + 1)
     for r in range(-bounds.r_max, bounds.r_max + 1):
         for c in range(-bounds.c_max, bounds.c_max + 1):
-            _row_walls(ctx, found, r, c, range(lo + (lo - c) % 2, hi + 1, 2))
+            _row_walls(ctx, found, r, c, _clip_window(ctx, r, c, Ds))
     return _sorted_walls(found.values())
 
 

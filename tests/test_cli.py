@@ -109,8 +109,10 @@ def test_walls_custom_region(capsys):
 @pytest.mark.parametrize(
     "bounds",
     [("--r-max=-3",), ("--r-max", "100000", "--c-max", "100000"), ("--r-max=\u0661",),
-     ("--r-max=1_0",), ("--r-max=+",)],
-    ids=["negative", "oversized", "non-ascii", "underscore", "sign-only"],
+     ("--r-max=1_0",), ("--r-max=+",),
+     # 9,900,099 triples, under MAX_BOX_TRIPLES, but as many rows
+     ("--r-max", "49", "--c-max", "50000", "--two-d-max", "0")],
+    ids=["negative", "oversized", "non-ascii", "underscore", "sign-only", "thin"],
 )
 def test_brute_force_box_is_bounded(capsys, bounds):
     start = time.perf_counter()
@@ -223,6 +225,17 @@ def test_brute_force_walls_match_golden(capsys):
     assert (code, err) == (0, "")
     assert out.encode("utf-8") == (GOLDEN / "walls_bruteforce_headline.json").read_bytes()
     assert json.loads(out)["count"] == 4
+
+
+def test_rank_four_brute_force_walls_match_golden(capsys):
+    # The oracle's box holds a member of each of the class's 86 walls.
+    box = ("--r-max", "5", "--c-max", "20", "--two-d-max", "100")
+    code, out, err = invoke(
+        capsys, "walls", "--v=4,9,-41/2,44", "--brute-force", *box, "--format", "json"
+    )
+    assert (code, err) == (0, "")
+    assert out.encode("utf-8") == (GOLDEN / "walls_bruteforce_rank4.json").read_bytes()
+    assert json.loads(out)["count"] == 86
 
 
 def test_rank_four_walls_match_golden(capsys):

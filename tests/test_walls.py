@@ -1,8 +1,10 @@
 from __future__ import annotations
 
+import json
 import math
 import re
 from fractions import Fraction
+from pathlib import Path
 from typing import Optional
 
 import pytest
@@ -40,6 +42,8 @@ from p3walls.walls import (
 
 V = ChernCharacter(1, 0, -6, 15)
 REGION = Region(-12, 0, 64)
+WIDE_REGION = Region(-40, 40, 1600)
+GOLDEN = Path(__file__).parent / "golden"
 EXPECTED_CIRCLES = [
     Circle(Fraction(-13, 2), Fraction(121, 4)),
     Circle(Fraction(-11, 2), Fraction(73, 4)),
@@ -199,6 +203,40 @@ def test_walls_form_nested_chain():
             assert nested(walls[j].circle, walls[i].circle) == NestedRelation.FIRST_INSIDE_SECOND
 
 
+def _assert_nested_chain(circles: list) -> int:
+    """Assert that each circle of a sorted wall list lies inside every
+    earlier one, or is an earlier circle carried by another pair (numerical
+    walls of one class are nested); return how many pairs were compared."""
+    for i, outer in enumerate(circles):
+        for inner in circles[i + 1:]:
+            relation = nested(inner, outer)
+            assert relation in (NestedRelation.FIRST_INSIDE_SECOND, NestedRelation.EQUAL), (
+                inner, outer, relation)
+    return len(circles) * (len(circles) - 1) // 2
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in GOLDEN.glob("walls_*.json")))
+def test_golden_walls_form_nested_chain(name):
+    walls = json.loads((GOLDEN / name).read_text())["walls"]
+    circles = [Circle(Fraction(w["center"]), Fraction(w["radius_sq"])) for w in walls]
+    assert _assert_nested_chain(circles) > 0
+
+
+@pytest.mark.parametrize("n", [-3, 0, 2])
+def test_curve_class_walls_form_nested_chain(n):
+    # The curve ideals of degree d <= 11 and genus g < 20, twisted by n, over
+    # a window holding their walls at every twist.
+    pairs = 0
+    for degree in range(1, 12):
+        for genus in range(20):
+            try:
+                walls = enumerate_tilt_walls(curve_ideal_ch(degree, genus).twist(n), WIDE_REGION)
+            except WallSearchError:
+                continue
+            pairs += _assert_nested_chain([w.circle for w in walls])
+    assert pairs > 0
+
+
 def test_spurious_positivity_violating_circle_absent():
     walls = enumerate_tilt_walls(V, REGION)
     assert Circle(Fraction(-7, 2), Fraction(1, 4)) not in [w.circle for w in walls]
@@ -298,7 +336,11 @@ ORACLE_TOTALS = [
 @pytest.mark.parametrize("total", ORACLE_TOTALS, ids=str)
 def test_oracle_equivalence(total):
     bounds = SearchBounds(5, 20, 100)
-    assert enumerate_tilt_walls(total, REGION) == brute_force_walls(total, REGION, bounds)
+    walls = enumerate_tilt_walls(total, REGION)
+    assert walls == brute_force_walls(total, REGION, bounds)
+    # the oracle's clip loses no wall of its box
+    assert walls == _whole_row_walls(total, REGION, bounds)
+    _assert_nested_chain([w.circle for w in walls])
 
 
 #: Boxes with odd and even ``two_d_max``, including ``two_d_max = 0``; every
@@ -312,8 +354,28 @@ LATTICE_BOXES = [
 ]
 
 
+def _box_rows(bounds: SearchBounds) -> list:
+    return [
+        (r, c) for r in range(-bounds.r_max, bounds.r_max + 1)
+        for c in range(-bounds.c_max, bounds.c_max + 1)
+    ]
+
+
+def _whole_row_walls(total: ChernCharacter, region: Region, bounds: SearchBounds) -> list:
+    """The box's walls from whole step-1 rows, no clip: the predicate itself
+    rejects each off-lattice triple and each triple failing a linear test."""
+    ctx, whole = walls_module._WallContext(total, region), {}
+    Ds = range(-bounds.two_d_max, bounds.two_d_max + 1)
+    for r, c in _box_rows(bounds):
+        walls_module._row_walls(ctx, whole, r, c, Ds)
+    return walls_module._sorted_walls(whole.values())
+
+
 @pytest.mark.parametrize("total, bounds", LATTICE_BOXES, ids=str)
-def test_oracle_visits_only_the_lattice(total, bounds, monkeypatch):
+def test_oracle_visits_only_the_lattice(total, bounds):
+    # Every row of the box reaches the predicate once, in box order, as its
+    # window |2d| <= two_d_max clipped to the lattice points that pass the
+    # linear tests, the path of the derived scans.
     rows: list = []
     row_walls = walls_module._row_walls
 
@@ -321,29 +383,16 @@ def test_oracle_visits_only_the_lattice(total, bounds, monkeypatch):
         rows.append((r, c, Ds))
         row_walls(ctx, sink, r, c, Ds)
 
-    monkeypatch.setattr(walls_module, "_row_walls", record)
-    walls = brute_force_walls(total, REGION, bounds)
-    t = bounds.two_d_max
-    box_rows = [
-        (r, c) for r in range(-bounds.r_max, bounds.r_max + 1)
-        for c in range(-bounds.c_max, bounds.c_max + 1)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(walls_module, "_row_walls", record)
+        walls = brute_force_walls(total, REGION, bounds)
+    ctx, t = walls_module._WallContext(total, REGION), bounds.two_d_max
+    assert rows == [
+        (r, c, walls_module._clip_window(ctx, r, c, range(-t, t + 1)))
+        for r, c in _box_rows(bounds)
     ]
-    assert [(r, c) for r, c, _ in rows] == box_rows
-    for r, c, Ds in rows:
-        # the first 2d = c (mod 2) at or above -two_d_max, stepping by 2
-        assert Ds.step == 2 and (Ds.start - c) % 2 == 0
-        assert -t <= Ds.start < -t + 2
-        assert all(-t <= D <= t for D in Ds)
-    lattice = sum(
-        1 for r, c in box_rows for D in range(-t, t + 1) if (D - c) % 2 == 0
-    )
-    assert sum(len(Ds) for _, _, Ds in rows) == lattice
-    # whole step-1 rows, whose off-lattice triples the predicate rejects
-    # one by one, keep the same walls
-    ctx, whole = walls_module._WallContext(total, REGION), {}
-    for r, c in box_rows:
-        row_walls(ctx, whole, r, c, range(-t, t + 1))
-    assert walls == walls_module._sorted_walls(whole.values())
+    assert all((D - c) % 2 == 0 and -t <= D <= t for _, c, Ds in rows for D in Ds)
+    assert walls == _whole_row_walls(total, REGION, bounds)
 
 
 def _count_built(monkeypatch) -> list:
@@ -495,6 +544,14 @@ def test_predicate_matches_fraction_reference(total):
             for c in range(-bounds.c_max, bounds.c_max + 1):
                 kept += _assert_row_matches(ctx, r, c, Ds)
     assert kept > 0
+
+
+@pytest.mark.parametrize("total", DIFFERENTIAL_TOTALS, ids=str)
+def test_oracle_matches_whole_row_scan(total):
+    bounds = SearchBounds(3, 8, 24)
+    for region in DIFFERENTIAL_REGIONS:
+        oracle = brute_force_walls(total, region, bounds)
+        assert oracle == _whole_row_walls(total, region, bounds), region
 
 
 @st.composite
@@ -822,6 +879,7 @@ def test_oracle_equivalence_on_random_classes(total):
     if math.prod(2 * bound + 1 for bound in bounds) > 10**7:
         bounds = box(rows)
     assert smart == brute_force_walls(total, region, bounds)
+    _assert_nested_chain([w.circle for w in smart])
 
 
 def _reference_sqrt_bounds(x: Fraction, bits: int) -> tuple[Fraction, Fraction]:
@@ -1210,6 +1268,24 @@ def test_clip_matches_fraction_reference_on_scanned_rows(totals):
                 r, c, start, stop = row
                 kinds |= _assert_clip_matches_reference(ctx, r, c, range(start, stop))
     assert {"empty", "single", "odd", "even", "r = 0"} <= kinds
+
+
+def test_clip_matches_fraction_reference_on_oracle_rows():
+    # Every row of LATTICE_BOXES as the oracle clips it: rows of negative c,
+    # ranks outside [0, r_v] and classes of rank r_v <= 0, which no derived
+    # scan clips.
+    kinds: set = set()
+    for total, bounds in LATTICE_BOXES:
+        ctx, t = walls_module._WallContext(total, REGION), bounds.two_d_max
+        for r, c in _box_rows(bounds):
+            row_kinds = _assert_clip_matches_reference(ctx, r, c, range(-t, t + 1))
+            kinds |= row_kinds
+            if "empty" not in row_kinds and c < 0:
+                kinds.add("kept with c < 0")
+            if "empty" not in row_kinds and not min(0, ctx.rv) <= r <= max(0, ctx.rv):
+                kinds.add("kept outside [0, r_v]")
+    assert {"empty", "single", "odd", "even", "r = 0", "r = r_v", "constant fails",
+            "kept with c < 0", "kept outside [0, r_v]"} <= kinds
 
 
 #: Rows of V where a zero coefficient leaves a constant test: ``r = 0`` with
