@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .chern import ChernCharacter, ChernTruncation, RationalInput, _parse_rational, _rat
+from .chern import ChernCharacter, ChernTruncation, RationalInput, _rat
 
 TruncationLike = ChernCharacter | ChernTruncation
 
@@ -81,16 +81,6 @@ class TiltPoint:
 
     def __str__(self) -> str:
         return f"beta={self.beta},alpha2={self.alpha_sq}"
-
-    @classmethod
-    def from_string(cls, text: str) -> "TiltPoint":
-        try:
-            beta_part, alpha_part = text.split(",")
-            beta = _parse_rational(beta_part.removeprefix("beta="))
-            alpha_sq = _parse_rational(alpha_part.removeprefix("alpha2="))
-        except ValueError:
-            raise ValueError(f"expected 'beta=<rational>,alpha2=<rational>', got {text!r}") from None
-        return cls(beta, alpha_sq)
 
 
 @dataclass(frozen=True)

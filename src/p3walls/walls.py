@@ -44,9 +44,13 @@ is what makes a finite, certified enumeration possible; see
 Both searches decide the predicate one row ``(r, c)`` at a time, computing
 what depends only on the row once (:func:`_row_walls`), and both first clip
 each row's window to the lattice points that pass the predicate's tests
-linear in ``2d`` (:func:`_clip_window`); they differ only in which rows they
-clip.  A class whose search cannot be certified finite is refused before
-any row is scanned.
+linear in ``2d``.  The clip is set up once per member rank
+(:class:`_RankLines`): the tests' coefficients of ``2d`` depend on the row
+only through the sign of ``k1``, so a row costs its right-hand sides and at
+most four divisions, and a row whose clipped window is empty never reaches
+the predicate.  The searches differ only in which rows they clip.  A class
+whose search cannot be certified finite is refused before any row is
+scanned.
 """
 
 from __future__ import annotations
@@ -354,9 +358,6 @@ class _WallContext:
         tr = v.truncation()
         if not tr.is_lattice():
             raise ValueError(f"total class is not on the truncation lattice: {v}")
-        self.v = v
-        self.v_tr = tr
-        self.region = region
         self.region_ints = _region_ints(region)
         self.rv = int(tr.r)
         self.cv = int(tr.c)
@@ -378,6 +379,15 @@ class _WallContext:
             self.bmt_radius_sq = Fraction(
                 self.G1 * self.G1 - 4 * self.G0 * self.delta_g, 4 * self.delta_g * self.delta_g
             )
+        self._lines: dict = {}
+
+    def lines(self, r: int) -> _RankLines:
+        """The linear tests of member rank ``r`` (:class:`_RankLines`), built
+        once per rank and shared by the clip and the predicate."""
+        lines = self._lines.get(r)
+        if lines is None:
+            lines = self._lines[r] = _RankLines(self, r)
+        return lines
 
     @cached_property
     def hull_hi(self) -> Fraction:
@@ -388,29 +398,85 @@ class _WallContext:
         return self.mu - _sqrt_bounds(Fraction(self.delta, self.rv * self.rv))[0]
 
 
-def _row_lines(ctx: _WallContext, r: int, c: int, k1: int) -> tuple:
-    """The four tests of the wall predicate that are linear in ``D = 2d`` on
-    the row ``(r, c)`` with ``k1 = r_v c - r c_v != 0``, as the flat tuple
-    ``(a0, b0, ..., a3, b3)`` of the half-lines ``a D >= b``.
+class _RankLines:
+    """The four tests of the wall predicate that are linear in ``D = 2d``, on
+    the rows ``(r, c)`` of one member rank ``r``, as half-lines ``a D >= b``.
 
-    The top of the circle is ``beta = K2 / m`` with ``m = 2 k1`` and
-    ``K2 = r_v D - r D_v``.  Scaled by ``|m| > 0``, the imaginary part there
-    of a member ``x`` is ``|m| c_x - sign(m) r_x K2``, affine in ``D``, and
+    On a row with ``k1 = r_v c - r c_v != 0`` the top of the circle is
+    ``beta = K2 / m`` with ``m = 2 k1`` and ``K2 = r_v D - r D_v``.  Scaled by
+    ``|m| > 0``, the imaginary part there of a member ``x`` is
+    ``|m| c_x - s r_x K2``, ``s = sign(k1)``, affine in ``D``, and
     admissibility ``0 < im(w) < im(v)`` is ``im(w) > 0`` and ``im(u) > 0``
     for ``w = (r, c, D/2)`` and ``u = v - w`` (strict, so ``b`` carries a
     ``+ 1``).  The member discriminants are ``c^2 - r D >= 0`` and
-    ``c_u^2 - r_u (D_v - D) >= 0``.  The predicate (:func:`_row_walls`) and
-    the window clip (:func:`_clip_window`) both read the tests from here.
+    ``c_u^2 - r_u (D_v - D) >= 0``.  So the coefficients
+    ``a = (-s r_v r, -s r_v r_u, -r, r_u)`` depend on the row only through
+    ``s`` and are kept for both signs (:attr:`a`, indexed by ``k1 > 0``),
+    and the right-hand sides (:meth:`b`) cost a few products per row.  The
+    predicate (:func:`_row_walls`) and the clip (:meth:`clip`) both read the
+    tests from here; :meth:`_WallContext.lines` builds one per rank.
     """
-    rv, Dv = ctx.rv, ctx.Dv
-    ru, cu = rv - r, ctx.cv - c
-    am, g, h = (2 * k1, rv, r * Dv) if k1 > 0 else (-2 * k1, -rv, -r * Dv)
-    return (
-        -g * r, 1 - am * c - h * r,  # im(w) > 0 at the top
-        -g * ru, 1 - am * cu - h * ru,  # im(u) > 0 at the top
-        -r, -c * c,  # disc(w) >= 0
-        ru, ru * Dv - cu * cu,  # disc(u) >= 0
-    )
+
+    __slots__ = ("rv", "cv", "rcv", "h0", "h1", "h3", "a", "sides")
+
+    def __init__(self, ctx: _WallContext, r: int):
+        rv, Dv = ctx.rv, ctx.Dv
+        ru = rv - r
+        self.rv, self.cv, self.rcv = rv, ctx.cv, r * ctx.cv
+        self.h0, self.h1, self.h3 = r * r * Dv, r * ru * Dv, ru * Dv
+        a = (-rv * r, -rv * ru, -r, ru)  # k1 > 0; k1 < 0 flips the first two
+        self.a = ((-a[0], -a[1], a[2], a[3]), a)  # indexed by k1 > 0
+        # Per sign of k1: the tests bounding D from below (a > 0), from above
+        # (a < 0, kept as -a) and those whose a vanishes.
+        self.sides = tuple(
+            (
+                tuple((i, x) for i, x in enumerate(a) if x > 0),
+                tuple((i, -x) for i, x in enumerate(a) if x < 0),
+                tuple(i for i, x in enumerate(a) if x == 0),
+            )
+            for a in self.a
+        )
+
+    def b(self, c: int, k1: int) -> tuple:
+        """The right-hand sides on the row ``c`` with ``k1 != 0``:
+        ``1 - s (2 k1 c + r^2 D_v)``, ``1 - s (2 k1 c_u + r r_u D_v)``,
+        ``-c^2`` and ``r_u D_v - c_u^2``."""
+        cu = self.cv - c
+        x0, x1 = 2 * k1 * c + self.h0, 2 * k1 * cu + self.h1
+        if k1 < 0:
+            x0, x1 = -x0, -x1
+        return 1 - x0, 1 - x1, -c * c, self.h3 - cu * cu
+
+    def clip(self, c: int, lo: int, hi: int) -> range:
+        """The ``2d`` of the window ``lo <= 2d <= hi`` on the row ``c`` that
+        pass the four tests and lie on the lattice (``2d = c`` mod 2), as a
+        step-2 range.
+
+        Each half-line is one floor or ceiling division; a zero ``a`` leaves
+        a constant test, which empties the window when it fails, as does
+        ``k1 = 0``, where the predicate rejects the whole row.  The result
+        holds every triple of the window that :func:`_row_walls` could keep;
+        the scans hand it to the predicate only when it is not empty, and the
+        predicate still runs every test on each triple.
+        """
+        k1 = self.rv * c - self.rcv
+        if not k1:
+            return range(0)
+        b = self.b(c, k1)
+        lower, upper, fixed = self.sides[k1 > 0]
+        for i in fixed:
+            if b[i] > 0:
+                return range(0)
+        for i, a in lower:
+            x = -(-b[i] // a)
+            if x > lo:
+                lo = x
+        for i, a in upper:
+            x = -b[i] // a
+            if x < hi:
+                hi = x
+        lo += (lo - c) % 2
+        return range(lo, hi + 1, 2)
 
 
 def _row_walls(ctx: _WallContext, sink: dict, r: int, c: int, Ds: range) -> None:
@@ -432,7 +498,9 @@ def _row_walls(ctx: _WallContext, sink: dict, r: int, c: int, Ds: range) -> None
     # The circle has center C = K2 / m and squared radius quarter / m^2.
     m = 2 * k1
     mm = m * m
-    a0, b0, a1, b1, a2, b2, a3, b3 = _row_lines(ctx, r, c, k1)
+    lines = ctx.lines(r)
+    a0, a1, a2, a3 = lines.a[k1 > 0]
+    b0, b1, b2, b3 = lines.b(c, k1)
     # Positivity: on the circle the form is affine in beta, with value
     # P / (g m^2) at the top and slope S / (g m), where
     # P = dg (K2^2 + quarter) + G1 K2 m + G0 m^2 and S = 2 dg K2 + G1 m; it
@@ -473,34 +541,6 @@ def _row_walls(ctx: _WallContext, sink: dict, r: int, c: int, Ds: range) -> None
         sink[key] = WallCandidate(circle, sub, quotient)
 
 
-def _clip_window(ctx: _WallContext, r: int, c: int, Ds: range) -> range:
-    """The ``2d`` of the step-1 window ``Ds`` that pass the four linear tests
-    of :func:`_row_lines` and lie on the lattice (``2d = c`` mod 2), as a
-    step-2 range.
-
-    Each half-line ``a D >= b`` is one floor or ceiling division; a zero
-    ``a`` leaves a constant test, which empties the window when it fails, as
-    does ``k1 = 0``, where the predicate rejects the whole row.  The result
-    holds every triple of ``Ds`` that :func:`_row_walls` could keep, so both
-    searches hand it the clipped window; the predicate still runs every
-    test on each triple.
-    """
-    lo, hi = Ds.start, Ds.stop - 1
-    k1 = ctx.rv * c - r * ctx.cv
-    if k1 == 0:
-        return range(lo, lo)
-    lines = _row_lines(ctx, r, c, k1)
-    for a, b in zip(lines[::2], lines[1::2]):
-        if a > 0:
-            lo = max(lo, -(-b // a))
-        elif a < 0:
-            hi = min(hi, -b // -a)
-        elif b > 0:
-            return range(lo, lo)
-    lo += (lo - c) % 2
-    return range(lo, hi + 1, 2)
-
-
 def _orient_pair(
     a: ChernTruncation, b: ChernTruncation
 ) -> tuple[ChernTruncation, ChernTruncation]:
@@ -531,18 +571,22 @@ def brute_force_walls(
     to every lattice triple ``(r, c, 2d)`` with ``|r| <= r_max``,
     ``|c| <= c_max`` and ``|2d| <= two_d_max`` that could be a wall, and
     reports the deduplicated, sorted walls.  Each row ``(r, c)`` of the box
-    goes to the predicate as its window ``|2d| <= two_d_max`` clipped by
-    :func:`_clip_window`, the path of the derived scans: the clip drops only
+    has its window ``|2d| <= two_d_max`` clipped by :meth:`_RankLines.clip`,
+    one clip per rank, the path of the derived scans, and goes to the
+    predicate when the clipped window is not empty: the clip drops only
     off-lattice points and points that fail one of the predicate's linear
     tests, so the oracle's walls are those of the whole box.  The oracle
     takes none of the derived search's rank, ``c`` or radius bounds.
     """
     ctx = _WallContext(v, region)
     found: dict = {}
-    Ds = range(-bounds.two_d_max, bounds.two_d_max + 1)
+    t = bounds.two_d_max
     for r in range(-bounds.r_max, bounds.r_max + 1):
+        clip = ctx.lines(r).clip
         for c in range(-bounds.c_max, bounds.c_max + 1):
-            _row_walls(ctx, found, r, c, _clip_window(ctx, r, c, Ds))
+            Ds = clip(c, -t, t)
+            if Ds:
+                _row_walls(ctx, found, r, c, Ds)
     return _sorted_walls(found.values())
 
 
@@ -623,12 +667,14 @@ def _scan_torsion_members(ctx: _WallContext, sink: dict) -> None:
 
     In ``2d`` the window runs from ``(D_v r_v - (c_v - c)^2) / r_v`` up to
     ``2 c (c_v - c) / r_v``, rounded inward on integers.  The
-    clip (:func:`_clip_window`) then keeps the lattice parity of ``2d``.
+    clip (:meth:`_RankLines.clip`) then keeps the lattice parity of ``2d``.
     """
     rv, cv, Dv = ctx.rv, ctx.cv, ctx.Dv
+    clip = ctx.lines(0).clip
     for c in range(1, math.isqrt(ctx.delta - 1) + 1):
-        Ds = range(-(-(Dv * rv - (cv - c) ** 2) // rv), 2 * c * (cv - c) // rv + 1)
-        _row_walls(ctx, sink, 0, c, _clip_window(ctx, 0, c, Ds))
+        Ds = clip(c, -(-(Dv * rv - (cv - c) ** 2) // rv), 2 * c * (cv - c) // rv)
+        if Ds:
+            _row_walls(ctx, sink, 0, c, Ds)
 
 
 def _scan_rank(ctx: _WallContext, sink: dict, r: int, t_hi: Fraction) -> None:
@@ -653,9 +699,10 @@ def _scan_rank(ctx: _WallContext, sink: dict, r: int, t_hi: Fraction) -> None:
     The hull window of a row can be far wider than its walls: the middle-rank
     cap ``disc(v) / (2 r_v gap)`` exceeds a hundred for some small classes
     of rank 4 and 5, and their windows then hold tens of millions of
-    triples.  So each window is clipped (:func:`_clip_window`) to the
-    lattice points that pass the predicate's four tests linear in ``2d``, a
-    few per row, before the predicate sees it.
+    triples.  So each window is clipped by the rank's
+    :meth:`_RankLines.clip` to the lattice points that pass the predicate's
+    four tests linear in ``2d``, a few per row, and only a row left with
+    some of them reaches the predicate.
     """
     rv, cv, Dv = ctx.rv, ctx.cv, ctx.Dv
     lo, hi = _center_hull(ctx, t_hi)
@@ -674,10 +721,12 @@ def _scan_rank(ctx: _WallContext, sink: dict, r: int, t_hi: Fraction) -> None:
         b0 = -r * cv * n * n * td
         b1 = b0 + r * cv * q * q * tn
         den = cv * q * q * td
+    clip = ctx.lines(r).clip
     for c in range(-(-min(rn) // q), (max(rn) + im_hi) // q + 1):
         x0, x1 = a0 * c + b0, a1 * c + b1
-        Ds = range(-(-min(x0, x1) // den), max(x0, x1) // den + 1)
-        _row_walls(ctx, sink, r, c, _clip_window(ctx, r, c, Ds))
+        Ds = clip(c, -(-min(x0, x1) // den), max(x0, x1) // den)
+        if Ds:
+            _row_walls(ctx, sink, r, c, Ds)
 
 
 def enumerate_tilt_walls(

@@ -373,9 +373,10 @@ def _whole_row_walls(total: ChernCharacter, region: Region, bounds: SearchBounds
 
 @pytest.mark.parametrize("total, bounds", LATTICE_BOXES, ids=str)
 def test_oracle_visits_only_the_lattice(total, bounds):
-    # Every row of the box reaches the predicate once, in box order, as its
-    # window |2d| <= two_d_max clipped to the lattice points that pass the
-    # linear tests, the path of the derived scans.
+    # Every row of the box whose window |2d| <= two_d_max holds a lattice
+    # point that passes the linear tests (the Fraction reference clip)
+    # reaches the predicate once, in box order, with exactly those points;
+    # every other row of the box is skipped, its reference clip empty.
     rows: list = []
     row_walls = walls_module._row_walls
 
@@ -387,11 +388,10 @@ def test_oracle_visits_only_the_lattice(total, bounds):
         mp.setattr(walls_module, "_row_walls", record)
         walls = brute_force_walls(total, REGION, bounds)
     ctx, t = walls_module._WallContext(total, REGION), bounds.two_d_max
-    assert rows == [
-        (r, c, walls_module._clip_window(ctx, r, c, range(-t, t + 1)))
-        for r, c in _box_rows(bounds)
-    ]
-    assert all((D - c) % 2 == 0 and -t <= D <= t for _, c, Ds in rows for D in Ds)
+    reference = [(r, c, _reference_clip(ctx, r, c, range(-t, t + 1))) for r, c in _box_rows(bounds)]
+    assert [(r, c, list(Ds)) for r, c, Ds in rows] == [row for row in reference if row[2]]
+    assert all(Ds.step == 2 for _, _, Ds in rows)
+    assert len(rows) < len(reference)
     assert walls == _whole_row_walls(total, REGION, bounds)
 
 
@@ -454,22 +454,24 @@ def _reference_reaches_nonnegative(total: ChernCharacter, circle: Circle) -> boo
 
 
 def _reference_candidate(
-    ctx: walls_module._WallContext, r: int, c: int, D: int
+    total: ChernCharacter, region: Region, r: int, c: int, D: int
 ) -> Optional[walls_module.WallCandidate]:
     """The wall predicate as it stood before any integer test: admissibility,
     region and positivity are checked on Fractions."""
+    v_tr = total.truncation()
+    rv, cv, Dv = int(v_tr.r), int(v_tr.c), int(2 * v_tr.d)
     if (D - c) % 2:
         return None
-    ru, cu, Du = ctx.rv - r, ctx.cv - c, ctx.Dv - D
+    ru, cu, Du = rv - r, cv - c, Dv - D
     if (r, c, D) == (0, 0, 0) or (ru, cu, Du) == (0, 0, 0):
         return None
-    k1 = ctx.rv * c - r * ctx.cv
+    k1 = rv * c - r * cv
     if k1 == 0:
         return None
     if c * c - r * D < 0 or cu * cu - ru * Du < 0:
         return None
-    K2 = ctx.rv * D - r * ctx.Dv
-    K3 = ctx.cv * D - c * ctx.Dv
+    K2 = rv * D - r * Dv
+    K3 = cv * D - c * Dv
     quarter = K2 * K2 - 4 * k1 * K3
     if quarter <= 0:
         return None
@@ -479,18 +481,20 @@ def _reference_candidate(
         return None
     circle = Circle(Fraction(K2, 2 * k1), Fraction(quarter, 4 * k1 * k1))
     w_tr = ChernTruncation(r, c, Fraction(D, 2))
-    if not wall_admissible(w_tr, ctx.v_tr, TiltPoint(circle.center, circle.radius_sq)):
+    if not wall_admissible(w_tr, v_tr, TiltPoint(circle.center, circle.radius_sq)):
         return None
-    if not _reference_meets_region(circle, ctx.region):
+    if not _reference_meets_region(circle, region):
         return None
-    if not _reference_reaches_nonnegative(ctx.v, circle):
+    if not _reference_reaches_nonnegative(total, circle):
         return None
     u_tr = ChernTruncation(ru, cu, Fraction(Du, 2))
     sub, quotient = walls_module._orient_pair(w_tr, u_tr)
     return walls_module.WallCandidate(circle, sub, quotient)
 
 
-def _assert_row_matches(ctx: walls_module._WallContext, r: int, c: int, Ds: range) -> int:
+def _assert_row_matches(
+    total: ChernCharacter, region: Region, ctx: walls_module._WallContext, r: int, c: int, Ds: range
+) -> int:
     """Assert that one row keeps exactly the reference's walls; return how many.
 
     Two triples of one row never share a pair key (that would force
@@ -499,9 +503,9 @@ def _assert_row_matches(ctx: walls_module._WallContext, r: int, c: int, Ds: rang
     """
     sink: dict = {}
     walls_module._row_walls(ctx, sink, r, c, Ds)
-    expected = [_reference_candidate(ctx, r, c, D) for D in Ds]
+    expected = [_reference_candidate(total, region, r, c, D) for D in Ds]
     expected = [w for w in expected if w is not None]
-    assert list(sink.values()) == expected, (r, c, ctx.region)
+    assert list(sink.values()) == expected, (r, c, region)
     return len(expected)
 
 
@@ -542,7 +546,7 @@ def test_predicate_matches_fraction_reference(total):
         ctx = walls_module._WallContext(total, region)
         for r in range(-bounds.r_max, bounds.r_max + 1):
             for c in range(-bounds.c_max, bounds.c_max + 1):
-                kept += _assert_row_matches(ctx, r, c, Ds)
+                kept += _assert_row_matches(total, region, ctx, r, c, Ds)
     assert kept > 0
 
 
@@ -578,7 +582,7 @@ def test_predicate_matches_fraction_reference_on_random_rows(total, region, r0, 
     ctx = walls_module._WallContext(total, region)
     for r in range(r0 - 1, r0 + 2):
         for c in range(c0, c0 + 9):
-            _assert_row_matches(ctx, r, c, range(-30, 31))
+            _assert_row_matches(total, region, ctx, r, c, range(-30, 31))
 
 
 @given(
@@ -841,25 +845,21 @@ def test_box_restriction_of_smart_search_matches_brute_force(total):
 def test_oracle_equivalence_on_random_classes(total):
     # Refusals are checked against the certificate; every other class must
     # equal the oracle over a box strictly containing every scanned row: the
-    # hull windows, or, when their box holds over 10^7 triples (some classes
-    # of rank 4 and 5 reach 2 * 10^8), the clipped windows the predicate
-    # is handed.
+    # hull windows handed to the per-rank clip, or, when their box holds over
+    # 10^7 triples (some classes of rank 4 and 5 reach 2 * 10^8), the clipped
+    # windows the predicate is handed.
     region = Region(-6, 0, 16)
     expect_refusal = _certificate_refuses(total, region)
     hull: list = []
     rows: list = []
-    row_walls, clip_window = walls_module._row_walls, walls_module._clip_window
-
-    def record_hull(ctx, r, c, Ds):
-        hull.append((r, c, Ds))
-        return clip_window(ctx, r, c, Ds)
+    row_walls = walls_module._row_walls
 
     def record(ctx, sink, r, c, Ds):
         rows.append((r, c, Ds))
         row_walls(ctx, sink, r, c, Ds)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(walls_module, "_clip_window", record_hull)
+        mp.setattr(walls_module, "_RankLines", _recording_rank_lines(hull, clip=True))
         mp.setattr(walls_module, "_row_walls", record)
         try:
             smart = enumerate_tilt_walls(total, region)
@@ -909,7 +909,7 @@ def _reference_vacuity_cap(ctx: walls_module._WallContext) -> Fraction:
                     else:
                         ends = (mu + lo - ctx.bmt_center, mu + hi - ctx.bmt_center)
                 else:
-                    fixed = ctx.v_tr.d / ctx.v_tr.c - ctx.bmt_center
+                    fixed = Fraction(ctx.Dv, 2 * ctx.cv) - ctx.bmt_center
                     ends = (fixed, fixed)
                 worst = max(worst, abs(ends[0]), abs(ends[1]))
             reach = worst + _reference_sqrt_bounds(t, bits)[1]
@@ -1016,7 +1016,7 @@ def _reference_scan_torsion_members(ctx: walls_module._WallContext, sink: dict) 
     if ctx.delta < 1:
         return
     for c in range(1, math.isqrt(ctx.delta - 1) + 1):
-        disc_side = ctx.v_tr.d - Fraction((cv - c) ** 2, 2 * rv)
+        disc_side = Fraction(ctx.Dv * rv - (cv - c) ** 2, 2 * rv)
         adm_side = Fraction(c * (cv - c), rv)
         lo, hi = (disc_side, adm_side) if rv > 0 else (adm_side, disc_side)
         walls_module._row_walls(
@@ -1036,7 +1036,7 @@ def _reference_scan_rank(
     ends = (window[0] * r, window[1] * r)
     for c in range(math.ceil(min(ends)), math.floor(max(ends) + im_hi) + 1):
         k1 = rv * c - r * ctx.cv
-        d_ends = [(C * k1 + r * ctx.v_tr.d) / rv for C in window]
+        d_ends = [(C * k1 + r * Fraction(ctx.Dv, 2)) / rv for C in window]
         Ds = range(math.ceil(2 * min(d_ends)), math.floor(2 * max(d_ends)) + 1)
         walls_module._row_walls(ctx, sink, r, c, Ds)
 
@@ -1053,7 +1053,7 @@ def _reference_scan_rank_zero_total(
     ``t_hi``, with ``k1 = -r c_v``.
     """
     cv = ctx.cv
-    center = ctx.v_tr.d / cv
+    center = Fraction(ctx.Dv, 2 * cv)
     k1 = -r * cv
     for c in range(math.ceil(center * r), math.floor(center * r + cv) + 1):
         d_ends = [(c * ctx.Dv + k1 * (center * center - t)) / cv for t in (Fraction(0), t_hi)]
@@ -1061,30 +1061,49 @@ def _reference_scan_rank_zero_total(
         walls_module._row_walls(ctx, sink, r, c, Ds)
 
 
+def _recording_rank_lines(hull: list, clip: bool) -> type:
+    """A :class:`walls._RankLines` whose clip first appends the hull window
+    it is handed to ``hull`` as ``(r, c, range(lo, hi + 1))``, empty or not,
+    and then clips it, or, with ``clip=False``, hands the predicate nothing."""
+
+    class Recording(walls_module._RankLines):
+        __slots__ = ("r",)
+
+        def __init__(self, ctx, r):
+            super().__init__(ctx, r)
+            self.r = r
+
+        def clip(self, c, lo, hi):
+            hull.append((self.r, c, range(lo, hi + 1)))
+            return super().clip(c, lo, hi) if clip else range(0)
+
+    return Recording
+
+
 def _scanned_rows(total: ChernCharacter, reference: bool) -> list:
     """Every ``(r, c, start, stop)`` of the hull windows the derived search
     computes, in order, ending in ``"refused"`` when the class is refused.
 
-    The clip is patched to the identity, so these are the windows before
-    :func:`walls._clip_window` narrows them (the clip has its own tests).
-    The recorder keeps no walls, which the scans never read back.
+    The scans hand every hull window, empty or not, to the per-rank clip,
+    which records it and hands the predicate nothing (the clip has its own
+    tests); the Fraction reference scans hand every hull window to the
+    predicate, which records it.  The recorders keep no walls, which the
+    scans never read back.
     """
-    rows: list = []
+    hull: list = []
+    refused: list = []
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(walls_module, "_clip_window", lambda ctx, r, c, Ds: Ds)
-        mp.setattr(
-            walls_module,
-            "_row_walls",
-            lambda ctx, sink, r, c, Ds: rows.append((r, c, Ds.start, Ds.stop)),
-        )
         if reference:
             mp.setattr(walls_module, "_scan_torsion_members", _reference_scan_torsion_members)
             mp.setattr(walls_module, "_scan_rank", _reference_scan_rank)
+            mp.setattr(walls_module, "_row_walls", lambda ctx, sink, r, c, Ds: hull.append((r, c, Ds)))
+        else:
+            mp.setattr(walls_module, "_RankLines", _recording_rank_lines(hull, clip=False))
         try:
             enumerate_tilt_walls(total, REGION)
         except WallSearchError:
-            rows.append("refused")
-    return rows
+            refused.append("refused")
+    return [(r, c, Ds.start, Ds.stop) for r, c, Ds in hull] + refused
 
 
 def _assert_windows_match_reference(total: ChernCharacter) -> int:
@@ -1211,7 +1230,7 @@ def _reference_clip(ctx: walls_module._WallContext, r: int, c: int, Ds: range) -
     """The clip on Fractions, one ``2d`` at a time: the lattice points of
     ``Ds`` whose pair is admissible at the top ``beta = k2 / k1`` of its
     circle and whose members both have nonnegative discriminant."""
-    v = ctx.v_tr
+    v = ChernTruncation(ctx.rv, ctx.cv, Fraction(ctx.Dv, 2))
     k1 = v.r * c - r * v.c
     if k1 == 0:
         return []
@@ -1232,9 +1251,10 @@ def _reference_clip(ctx: walls_module._WallContext, r: int, c: int, Ds: range) -
 def _assert_clip_matches_reference(
     ctx: walls_module._WallContext, r: int, c: int, Ds: range
 ) -> set:
-    """Assert that the clip keeps exactly the reference's ``2d`` and loses no
-    wall of the full window; return the kinds of row this was."""
-    clipped = walls_module._clip_window(ctx, r, c, Ds)
+    """Assert that the per-rank clip keeps exactly the reference's ``2d`` and
+    loses no wall of the full window; return the kinds of row this was."""
+    lines = ctx.lines(r)
+    clipped = lines.clip(c, Ds.start, Ds.stop - 1)
     assert list(clipped) == _reference_clip(ctx, r, c, Ds), (r, c, Ds)
     full: dict = {}
     walls_module._row_walls(ctx, full, r, c, Ds)
@@ -1249,8 +1269,7 @@ def _assert_clip_matches_reference(
         kinds.add("r = r_v")
     # a coefficient of a test vanishes on this row, and its constant fails
     k1 = ctx.rv * c - r * ctx.cv
-    lines = walls_module._row_lines(ctx, r, c, k1) if k1 else ()
-    if any(a == 0 and b > 0 for a, b in zip(lines[::2], lines[1::2])):
+    if k1 and any(a == 0 and b > 0 for a, b in zip(lines.a[k1 > 0], lines.b(c, k1))):
         kinds.add("constant fails")
     return kinds
 
@@ -1310,6 +1329,79 @@ def test_clip_matches_fraction_reference_on_random_rows(total, r, c, start, leng
     ctx = walls_module._WallContext(total, REGION)
     r = {"r = 0": 0, "r = r_v": ctx.rv}.get(r, r)
     _assert_clip_matches_reference(ctx, r, c, range(start, start + length))
+
+
+#: Totals of rank -4..5 with c_v odd and even and D_v of both signs.  Over
+#: the member ranks -5..5 and the rows |c| <= 5 they meet both signs of
+#: k1 = r_v c - r c_v, and k1 = 0.
+RANK_CLIP_TOTALS = [
+    ChernCharacter(rv, cv, Fraction(cv, 2) + k, 0)
+    for rv, cv, k in [(-4, 3, 8), (-3, 4, 7), (-2, 3, 7), (-1, 4, 4), (0, 3, -2),
+                      (1, 4, -8), (2, 3, -8), (3, -1, -8), (4, 0, -8), (5, -2, -8)]
+]
+
+
+def _assert_rank_clip_matches_reference(
+    ctx: walls_module._WallContext, r: int, cs: range, windows: list
+) -> set:
+    """Assert that one clip of rank ``r`` equals the Fraction reference on the
+    rows ``cs``, for each window ``(lo, hi)`` given as offsets from ``c``;
+    return the kinds of row seen."""
+    lines, kinds = ctx.lines(r), set()
+    for c in cs:
+        k1 = ctx.rv * c - r * ctx.cv
+        sign = "k1 > 0" if k1 > 0 else "k1 < 0" if k1 < 0 else "k1 = 0"
+        for dlo, dhi in windows:
+            lo, hi = c + dlo, c + dhi
+            kept = lines.clip(c, lo, hi)
+            assert list(kept) == _reference_clip(ctx, r, c, range(lo, hi + 1)), (r, c, lo, hi)
+            kinds |= {sign, f"kept with {sign}" if kept else "empty"}
+            if lo > hi:
+                kinds.add("lo > hi")
+    if r == 0:
+        kinds.add("r = 0")
+    if r == ctx.rv:
+        kinds.add("r = r_v")
+    return kinds
+
+
+def test_rank_clip_matches_fraction_reference():
+    # One clip per rank serves every row of that rank: its sides are sorted
+    # once for each sign of k1, and each row brings only its b's.  Windows
+    # wide, narrow and already empty (lo > hi).  Every member rank meets rows
+    # of both signs of k1 and of k1 = 0 and keeps some 2d; ranks -3..4 keep
+    # 2d on both sides of k1 = 0.
+    windows = [(-24, 24), (-3, 6), (5, -5)]
+    contexts = [walls_module._WallContext(total, REGION) for total in RANK_CLIP_TOTALS]
+    seen: set = set()
+    for r in range(-5, 6):
+        kinds: set = set()
+        for ctx in contexts:
+            kinds |= _assert_rank_clip_matches_reference(ctx, r, range(-5, 6), windows)
+        assert {"k1 > 0", "k1 < 0", "k1 = 0", "empty", "lo > hi"} <= kinds, r
+        kept = {"kept with k1 > 0", "kept with k1 < 0"} & kinds
+        assert len(kept) == (2 if -3 <= r <= 4 else 1), r
+        seen |= kinds
+    assert {"r = 0", "r = r_v"} <= seen
+
+
+@given(
+    st.integers(-4, 5),
+    st.integers(-6, 6),
+    st.integers(-8, 8),
+    st.one_of(st.integers(-5, 5), st.just("r = r_v")),
+    st.integers(-12, 12),
+    st.integers(-40, 40),
+    st.integers(-40, 40),
+)
+@settings(max_examples=200, deadline=None)
+def test_rank_clip_matches_fraction_reference_on_random_rows(rv, cv, k, r, c0, lo, hi):
+    # Eight rows share one clip, each with the window (lo, hi) shifted by its
+    # offset from c0; lo and hi are drawn independently, so about half of the
+    # windows are empty (lo > hi) before the clip.
+    ctx = walls_module._WallContext(ChernCharacter(rv, cv, Fraction(cv, 2) + k, 0), REGION)
+    r = rv if r == "r = r_v" else r
+    _assert_rank_clip_matches_reference(ctx, r, range(c0, c0 + 8), [(lo - c0, hi - c0)])
 
 
 def _triples_handed_to_the_predicate(total: ChernCharacter) -> tuple[int, int]:
