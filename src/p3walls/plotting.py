@@ -15,6 +15,7 @@ summary.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -114,8 +115,12 @@ def render_svg(scene: Scene) -> bytes:
         f'<line x1="{MARGIN_LEFT}" y1="{MARGIN_TOP}" x2="{MARGIN_LEFT}"'
         f' y2="{_fmt(y0)}" stroke="black" stroke-width="1"/>'
     )
-    beta_tick = math.ceil(beta_min)
-    while beta_tick <= math.floor(beta_max):
+    # The first of 1, 2, 5, 10, 20, ... that leaves at most 13 ticks: step 1
+    # on the default window, and a bounded picture on any window.
+    steps = (s * 10**k for k in itertools.count() for s in (1, 2, 5))
+    beta_step = next(s for s in steps if 12 * s >= region.beta_max - region.beta_min)
+    beta_tick = math.ceil(region.beta_min / beta_step) * beta_step
+    while beta_tick <= region.beta_max:
         x = px(float(beta_tick))
         out.append(
             f'<line x1="{_fmt(x)}" y1="{_fmt(y0)}" x2="{_fmt(x)}" y2="{_fmt(y0 + 5)}"'
@@ -125,7 +130,7 @@ def render_svg(scene: Scene) -> bytes:
             f'<text x="{_fmt(x)}" y="{_fmt(y0 + 18)}" font-size="11"'
             f' text-anchor="middle">{beta_tick}</text>'
         )
-        beta_tick += 1
+        beta_tick += beta_step
     alpha_step = max(1, math.ceil(alpha_max / 8))
     alpha_tick = 0
     while alpha_tick <= alpha_max:

@@ -48,9 +48,10 @@ linear in ``2d``.  The clip is set up once per member rank
 (:class:`_RankLines`): the tests' coefficients of ``2d`` depend on the row
 only through the sign of ``k1``, so a row costs its right-hand sides and at
 most four divisions, and a row whose clipped window is empty never reaches
-the predicate.  The searches differ only in which rows they clip.  A class
-whose search cannot be certified finite is refused before any row is
-scanned.
+the predicate.  The searches differ only in which rows they clip: the
+derived search visits each unordered pair ``{w, v - w}`` from one member.
+A class whose search cannot be certified finite is refused before any row
+is scanned.
 """
 
 from __future__ import annotations
@@ -657,28 +658,9 @@ def _vacuity_radius_cap(ctx: _WallContext) -> Fraction:
     return lo
 
 
-def _scan_torsion_members(ctx: _WallContext, sink: dict) -> None:
-    """Pairs with a rank-zero member (``r_v > 0`` and ``disc(v) > 0``).
-
-    The rank-zero member has ``c > 0`` and discriminant ``c^2``, and
-    discriminant additivity forces ``c^2 < disc(v)``.  For each ``c`` the
-    ``d``-window is closed by the quotient discriminant on one side and by
-    admissibility of the quotient at the top on the other.
-
-    In ``2d`` the window runs from ``(D_v r_v - (c_v - c)^2) / r_v`` up to
-    ``2 c (c_v - c) / r_v``, rounded inward on integers.  The
-    clip (:meth:`_RankLines.clip`) then keeps the lattice parity of ``2d``.
-    """
-    rv, cv, Dv = ctx.rv, ctx.cv, ctx.Dv
-    clip = ctx.lines(0).clip
-    for c in range(1, math.isqrt(ctx.delta - 1) + 1):
-        Ds = clip(c, -(-(Dv * rv - (cv - c) ** 2) // rv), 2 * c * (cv - c) // rv)
-        if Ds:
-            _row_walls(ctx, sink, 0, c, Ds)
-
-
 def _scan_rank(ctx: _WallContext, sink: dict, r: int, t_hi: Fraction) -> None:
-    """All candidates of member rank ``r != 0`` with squared radius at most ``t_hi``.
+    """All candidates of member rank ``r`` with squared radius at most ``t_hi``
+    (``r != 0`` for a rank-zero total, whose rank-zero members are vertical).
 
     The center lies in :func:`_center_hull`; admissibility pins ``c`` into
     ``(C r, C r + im_v(top))``; and for fixed ``(r, c)`` the center is an
@@ -743,13 +725,9 @@ def enumerate_tilt_walls(
 
     Otherwise the search runs on derived bounds, each a consequence of
     evaluating the wall data at the top of a candidate circle, where every
-    participating slope vanishes.  For ``r_v >= 0``:
+    participating slope vanishes.  For ``r_v >= 0``, one member per pair:
 
-    * discriminants of an admissible pair obey ``disc(w) + disc(v-w) <= disc(v)``,
-      so for ``r_v > 0`` a rank-zero member has ``0 < c < sqrt(disc(v))``,
-      finitely many values with closed ``d``-windows (for ``r_v = 0`` its
-      locus is vertical);
-    * a member rank ``0 < r < r_v`` satisfies
+    * a member rank ``0 <= r <= r_v`` satisfies
       ``|c - r c_v / r_v| <= disc(v) / (2 r_v rho)``, which caps the radius
       because the integer ``c`` keeps a fixed distance from that center line;
     * ranks outside ``[0, r_v]`` obey ``rho^2 <= disc(v) / (n^2 - r_v^2)``
@@ -757,7 +735,9 @@ def enumerate_tilt_walls(
       rank loop stops once it falls below the certified vacuity radius of
       :func:`_vacuity_radius_cap`.  For a rank-zero total every member
       rank is outside, ``n = 2 |r|`` and the cap reads ``2 |r| rho <= c_v``;
-      all its circles share the center ``D_v / (2 c_v)``.
+      all its circles share the center ``D_v / (2 c_v)``;
+    * each pair ``{w, v - w}`` is searched from one member
+      (:func:`_derived_walls`), so ranks ``r_v - k`` and ``r_v + e`` are not.
 
     A class of negative rank is searched as its derived dual
     ``ch(E^v[1]) = (-r, c, -d, e)`` over the region mirrored by ``beta -> -beta``,
@@ -788,7 +768,22 @@ def _mirror_wall(wall: WallCandidate) -> WallCandidate:
 
 
 def _derived_walls(ctx: _WallContext) -> list[WallCandidate]:
-    """The derived-bound search of :func:`enumerate_tilt_walls` for ``r_v >= 0``."""
+    """The derived-bound search of :func:`enumerate_tilt_walls` for ``r_v >= 0``.
+
+    One member per pair: the ranks ``k = 0 .. r_v // 2`` at the middle cap
+    ``(disc(v) / (2 g))^2``, ``g = r_v gap``, then the outside ranks ``-e``.
+
+    * *Complements.*  :func:`_pair_key`, the circle and :func:`_orient_pair`
+      are symmetric under ``w <-> v - w``.  Complementary ranks get the same
+      cap (``g(k) = g(r_v - k)``, and ``n`` is the same for ``r_v + e`` and
+      ``-e``), the same hull and the same admissibility windows, rounded
+      outward.
+    * *Torsion.*  For ``w = (0, c, d)`` at the top of its circle,
+      ``disc(v) = c^2 + disc(u) + 2 c c_u^C`` with
+      ``c_u^C = sqrt(disc(v) + r_v^2 rho^2) - c > 0``, so ``c^2 < disc(v)``
+      and ``rho <= (disc(v) - c^2) / (2 c r_v) < disc(v) / (2 r_v)``: the
+      cap at ``k = 0``, where ``g = r_v``.
+    """
     if ctx.delta <= 0:
         return []
     if ctx.rv == 0 and ctx.cv <= 0:
@@ -802,9 +797,7 @@ def _derived_walls(ctx: _WallContext) -> list[WallCandidate]:
                       " the candidate circles)")
         raise WallSearchError(f"{reason}; pass explicit SearchBounds")
     found: dict = {}
-    if ctx.rv:
-        _scan_torsion_members(ctx, found)
-    for k in range(1, ctx.rv):  # member ranks strictly between 0 and r_v
+    for k in range(ctx.rv // 2 + 1) if ctx.rv else ():  # and not r_v - k
         g = min(k * ctx.cv % ctx.rv, -k * ctx.cv % ctx.rv) or ctx.rv  # r_v * gap
         _scan_rank(ctx, found, k, Fraction(ctx.delta, 2 * g) ** 2)
     excess = 1
@@ -813,8 +806,7 @@ def _derived_walls(ctx: _WallContext) -> list[WallCandidate]:
         cap_sq = Fraction(ctx.delta, 4 * excess * (ctx.rv + excess))
         if cap_sq <= t_stop:
             break
-        for r in (ctx.rv + excess, -excess):
-            _scan_rank(ctx, found, r, cap_sq)
+        _scan_rank(ctx, found, -excess, cap_sq)  # and not its complement r_v + excess
         excess += 1
     return _sorted_walls(found.values())
 

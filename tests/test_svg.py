@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -61,3 +62,11 @@ def test_scene_without_walls_renders():
     assert scene.walls == ()
     text = render_svg(scene).decode("utf-8")
     assert 'id="wall-' not in text
+
+
+def test_wide_window_draws_few_ticks():
+    # One tick per integer would write about 190 bytes per unit of width.
+    text = render_svg(build_scene(V, Region(-10**9, 10**9, 64))).decode("utf-8")
+    ticks = re.findall(r'text-anchor="middle">(-?\d+)</text>', text)
+    assert ticks == [str(b) for b in range(-10**9, 10**9 + 1, 2 * 10**8)]
+    assert len(text) < 20_000

@@ -525,6 +525,8 @@ DIFFERENTIAL_TOTALS = [
     ChernCharacter(2, -1, Fraction(-5, 2), Fraction(3, 5)),
     ChernCharacter(1, 0, -6, Fraction(104, 7)),
     ChernCharacter(2, -1, Fraction(-5, 2), Fraction(24, 5)),
+    # a quintic of genus 2: its rank-zero row c = 1 clips to three 2d
+    ChernCharacter(1, 0, -5, 11),
 ]
 
 #: The default window, and windows whose edges have a common denominator
@@ -771,6 +773,7 @@ def small_totals(draw, max_rank: int = 3) -> ChernCharacter:
 
 
 @given(small_totals())
+@example(V)  # its four walls have rank-zero quotients, the outermost at the torsion bound
 @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
 def test_enumerated_walls_satisfy_invariants(total):
     region = Region(-6, 0, 16)
@@ -778,11 +781,19 @@ def test_enumerated_walls_satisfy_invariants(total):
         walls = enumerate_tilt_walls(total, region)
     except WallSearchError:
         assume(False)
+    delta = total.discriminant()
     for w in walls:
         assert w.total() == total.truncation()
         assert w.sub.is_primitive() and w.quotient.is_primitive()
         assert wall_admissible(w.sub, total, w.top)
         assert circle_meets_region(w.circle, region)
+        for member in (w.sub, w.quotient):
+            if member.r == 0:
+                # the torsion bound c^2 < disc(v), rho <= (disc(v) - c^2) / (2 c r_v),
+                # under which rank zero shares the middle-rank cap
+                c = member.c
+                assert c * c < delta
+                assert (2 * c * total.r) ** 2 * w.circle.radius_sq <= (delta - c * c) ** 2
 
 
 def _certificate_refuses(total: ChernCharacter, region: Region) -> bool:
@@ -1010,20 +1021,6 @@ def test_center_hull_contains_every_oracle_wall(total):
         assert lo <= w.circle.center <= hi, w
 
 
-def _reference_scan_torsion_members(ctx: walls_module._WallContext, sink: dict) -> None:
-    """The torsion-member scan as it stood with Fraction windows."""
-    rv, cv = ctx.rv, ctx.cv
-    if ctx.delta < 1:
-        return
-    for c in range(1, math.isqrt(ctx.delta - 1) + 1):
-        disc_side = Fraction(ctx.Dv * rv - (cv - c) ** 2, 2 * rv)
-        adm_side = Fraction(c * (cv - c), rv)
-        lo, hi = (disc_side, adm_side) if rv > 0 else (adm_side, disc_side)
-        walls_module._row_walls(
-            ctx, sink, 0, c, range(math.ceil(2 * lo), math.floor(2 * hi) + 1)
-        )
-
-
 def _reference_scan_rank(
     ctx: walls_module._WallContext, sink: dict, r: int, t_hi: Fraction
 ) -> None:
@@ -1094,7 +1091,6 @@ def _scanned_rows(total: ChernCharacter, reference: bool) -> list:
     refused: list = []
     with pytest.MonkeyPatch.context() as mp:
         if reference:
-            mp.setattr(walls_module, "_scan_torsion_members", _reference_scan_torsion_members)
             mp.setattr(walls_module, "_scan_rank", _reference_scan_rank)
             mp.setattr(walls_module, "_row_walls", lambda ctx, sink, r, c, Ds: hull.append((r, c, Ds)))
         else:
@@ -1167,12 +1163,13 @@ def _reference_rank_sequence(total: ChernCharacter) -> list:
     in order, recomputed on Fractions from the derived bounds, ending in
     ``"refused"`` when the class is refused.
 
-    The middle ranks ``0 < k < r_v`` come first, each at
+    One member rank of each complementary pair is scanned.  The ranks
+    ``0 <= k <= r_v / 2`` come first (none for ``r_v = 0``), each at
     ``(disc(v) / (2 r_v gap))^2`` with ``gap`` the distance from
-    ``k c_v / r_v`` to the nearest other integer.  Then the outside ranks
-    ``r_v + e`` and ``-e`` follow at ``disc(v) / (n^2 - r_v^2)``,
-    ``n = r_v + 2 e``, for as long as that cap exceeds the reference
-    vacuity radius.
+    ``k c_v / r_v`` to the nearest other integer, and ``gap = 1`` for
+    ``k = 0``.  Then the outside ranks ``-e`` follow at
+    ``disc(v) / (n^2 - r_v^2)``, ``n = r_v + 2 e``, for as long as that cap
+    exceeds the reference vacuity radius.
     """
     total, region = _canonical(total, REGION)
     rv, cv, disc = int(total.r), int(total.c), total.discriminant()
@@ -1182,13 +1179,13 @@ def _reference_rank_sequence(total: ChernCharacter) -> list:
     if t_stop <= 0:
         return ["refused"]
     ranks = []
-    for k in range(1, rv):
+    for k in range(rv // 2 + 1) if rv else ():
         x = Fraction(k * cv, rv)
         gap = min(x - math.floor(x), math.ceil(x) - x) or 1
         ranks.append((k, (disc / (2 * rv * gap)) ** 2))
     e = 1
     while (cap := disc / ((rv + 2 * e) ** 2 - rv * rv)) > t_stop:
-        ranks += [(rv + e, cap), (-e, cap)]
+        ranks.append((-e, cap))
         e += 1
     return ranks
 
@@ -1224,6 +1221,47 @@ def test_rank_sequence_matches_fraction_reference(n):
     for total, ranks in zip(totals, sequences):
         assert ranks == _reference_rank_sequence(total), total
     assert any(ranks and ranks[-1] != "refused" for ranks in sequences)
+
+
+def _complementary_scans(total: ChernCharacter) -> tuple[dict, dict]:
+    """The derived search's sink, and a second sink holding what the ranks it
+    skips find: each scanned rank ``r`` scanned again as its complement
+    ``r_v - r`` (``r_v - k`` and ``r_v + e``), at the same cap."""
+    calls: list = []
+    scan_rank = walls_module._scan_rank
+
+    def record(ctx, sink, r, t_hi):
+        calls.append((ctx, sink, r, t_hi))
+        scan_rank(ctx, sink, r, t_hi)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(walls_module, "_scan_rank", record)
+        try:
+            enumerate_tilt_walls(total, REGION)
+        except WallSearchError:
+            return {}, {}
+    found = calls[0][1] if calls else {}
+    skipped: dict = {}
+    for ctx, _, r, t_hi in calls:
+        scan_rank(ctx, skipped, ctx.rv - r, t_hi)
+    return found, skipped
+
+
+@pytest.mark.parametrize("n", ["differential", "signed", "high-rank", -3, 0, 2])
+def test_complementary_ranks_add_no_wall(n):
+    # Metamorphic: the pair key, the circle and the orientation are symmetric
+    # under w <-> v - w, and complementary ranks share their cap, so the
+    # ranks the search skips find only walls it already holds, built alike.
+    totals = {"differential": DIFFERENTIAL_TOTALS, "signed": SIGNED_TOTALS,
+              "high-rank": HIGH_RANK_TOTALS}.get(n)
+    if totals is None:
+        totals = [curve_ideal_ch(d, g).twist(n) for d in range(1, 12) for g in range(20)]
+    refound = 0
+    for total in totals:
+        found, skipped = _complementary_scans(total)
+        assert all(found.get(key) == wall for key, wall in skipped.items()), total
+        refound += len(skipped)
+    assert refound > 0
 
 
 def _reference_clip(ctx: walls_module._WallContext, r: int, c: int, Ds: range) -> list:
@@ -1433,7 +1471,6 @@ def test_derived_search_work_is_bounded_at_high_rank(total, count):
 SEARCH_INTERNALS = (
     "_center_hull",
     "_vacuity_radius_cap",
-    "_scan_torsion_members",
     "_scan_rank",
 )
 
