@@ -1,11 +1,11 @@
 """Command-line interface: character arithmetic, wall searches, reports, plots.
 
 Results go to stdout, diagnostics to stderr.  Exit codes: 0 on success, 1
-for domain failures (an unbounded search, a rank-zero hyperbola request),
-2 for malformed invocations, which argparse reports itself, and for a
-``--brute-force`` box of more than ``MAX_BOX_TRIPLES`` triples or more than
-``MAX_BOX_ROWS`` rows ``(r, c)``, refused before any scan.  JSON output
-always carries ``"schema": "p3walls/1"``.
+for domain failures (an unbounded search, a rank-zero hyperbola request, a
+plot window with no float image), 2 for malformed invocations, which
+argparse reports itself, and for a ``--brute-force`` box of more than
+``MAX_BOX_TRIPLES`` triples or more than ``MAX_BOX_ROWS`` rows ``(r, c)``,
+refused before any scan.  JSON output always carries ``"schema": "p3walls/1"``.
 """
 
 from __future__ import annotations
@@ -29,16 +29,16 @@ from .chern import (
 )
 from .walls import (
     DEFAULT_REGION,
+    SCHEMA,
     Region,
     SearchBounds,
     WallSearchError,
+    brute_force_walls,
     enumerate_tilt_walls,
     hyperbola_alpha_sq,
     wall_to_dict,
 )
 from .stability import TiltPoint, bmt_form
-
-SCHEMA = "p3walls/1"
 
 #: Largest ``--brute-force`` box, counted in ``(r, c, 2d)`` triples.
 MAX_BOX_TRIPLES = 10**7
@@ -119,7 +119,6 @@ def _cmd_euler(args: argparse.Namespace) -> int:
 
 def _cmd_walls(args: argparse.Namespace) -> int:
     region = _region_from(args)
-    bounds: Optional[SearchBounds] = None
     if args.brute_force:
         bounds = SearchBounds(args.r_max, args.c_max, args.two_d_max)
         rows = (2 * bounds.r_max + 1) * (2 * bounds.c_max + 1)
@@ -128,7 +127,9 @@ def _cmd_walls(args: argparse.Namespace) -> int:
             print(f"error: the --brute-force box holds {triples} triples in {rows} rows, "
                   f"more than {MAX_BOX_TRIPLES} triples or {MAX_BOX_ROWS} rows", file=sys.stderr)
             return 2
-    walls = enumerate_tilt_walls(args.v, region, bounds)
+        walls = brute_force_walls(args.v, region, bounds)
+    else:
+        walls = enumerate_tilt_walls(args.v, region)
     if args.format == "json":
         payload = {
             "schema": SCHEMA,

@@ -44,7 +44,7 @@ from .chern import (
     from_resolution,
     line_bundle_ch,
 )
-from .walls import DEFAULT_REGION, WallCandidate, enumerate_tilt_walls, wall_to_dict
+from .walls import DEFAULT_REGION, SCHEMA, WallCandidate, enumerate_tilt_walls, wall_to_dict
 
 #: Keys naming the two factors in Euler and Ext tables.
 LINE_FACTOR = "twisted_line_ideal"
@@ -564,7 +564,7 @@ def _report_data() -> dict:
     ledger = exceptional_ledger()
     tables = {s.value: _ext_table(s, chi) for s in Stratum}
     return {
-        "schema": "p3walls/1",
+        "schema": SCHEMA,
         "class": str(canonical_class()),
         "walls": [
             {**wall_to_dict(w), "full_pair": pairs.get(w.circle.radius_sq)}

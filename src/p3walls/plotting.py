@@ -37,6 +37,8 @@ MARGIN_LEFT = 70
 MARGIN_RIGHT = 30
 MARGIN_TOP = 30
 MARGIN_BOTTOM = 60
+PLOT_W = WIDTH - MARGIN_LEFT - MARGIN_RIGHT
+PLOT_H = HEIGHT - MARGIN_TOP - MARGIN_BOTTOM
 
 HYPERBOLA_SAMPLES = 240
 
@@ -61,8 +63,10 @@ def build_scene(
 
     The slope-zero hyperbola only exists for nonzero rank; the caption
     records the class and, when given, the extra stability parameter (which
-    labels the picture but does not move any tilt wall).
+    labels the picture but does not move any tilt wall).  A window that
+    :func:`render_svg` cannot draw is refused before the search.
     """
+    _float_window(region)
     walls = tuple(enumerate_tilt_walls(v, region))
     hyperbola = v if v.r != 0 else None
     caption = f"tilt walls for {v}"
@@ -75,22 +79,33 @@ def _fmt(value: float) -> str:
     return f"{value:.6f}"
 
 
+def _float_window(region: Region) -> tuple[float, float, float]:
+    """``beta_min``, ``beta_max`` and ``sqrt(alpha_sq_max)`` as floats; a
+    :class:`ValueError` when a bound overflows or a scale is not finite."""
+    try:
+        beta_min, beta_max, alpha_sq_max = map(
+            float, (region.beta_min, region.beta_max, region.alpha_sq_max))
+    except OverflowError:
+        beta_min = beta_max = alpha_sq_max = math.nan  # fails every test below
+    if not (beta_min < beta_max and 0 < PLOT_W / (beta_max - beta_min) < math.inf
+            and alpha_sq_max > 0):
+        raise ValueError("the plot window has no float image: a bound is beyond"
+                         " the float range, or its width or height rounds to zero")
+    return beta_min, beta_max, math.sqrt(alpha_sq_max)
+
+
 def render_svg(scene: Scene) -> bytes:
     """Render a scene to SVG bytes; same scene, same bytes."""
     region = scene.region
-    beta_min = float(region.beta_min)
-    beta_max = float(region.beta_max)
-    alpha_max = math.sqrt(float(region.alpha_sq_max))
-    plot_w = WIDTH - MARGIN_LEFT - MARGIN_RIGHT
-    plot_h = HEIGHT - MARGIN_TOP - MARGIN_BOTTOM
-    scale_x = plot_w / (beta_max - beta_min)
-    scale_y = plot_h / alpha_max
+    beta_min, beta_max, alpha_max = _float_window(region)
+    scale_x = PLOT_W / (beta_max - beta_min)
+    scale_y = PLOT_H / alpha_max
 
     def px(beta: float) -> float:
         return MARGIN_LEFT + (beta - beta_min) * scale_x
 
     def py(alpha: float) -> float:
-        return MARGIN_TOP + plot_h - alpha * scale_y
+        return MARGIN_TOP + PLOT_H - alpha * scale_y
 
     out = []
     out.append('<?xml version="1.0" encoding="UTF-8"?>')
@@ -102,13 +117,13 @@ def render_svg(scene: Scene) -> bytes:
     out.append(f'<rect width="{WIDTH}" height="{HEIGHT}" fill="white"/>')
     out.append(
         '<clipPath id="plot-area">'
-        f'<rect x="{MARGIN_LEFT}" y="{MARGIN_TOP}" width="{plot_w}" height="{plot_h}"/>'
+        f'<rect x="{MARGIN_LEFT}" y="{MARGIN_TOP}" width="{PLOT_W}" height="{PLOT_H}"/>'
         "</clipPath>"
     )
 
     y0 = py(0.0)
     out.append(
-        f'<line x1="{MARGIN_LEFT}" y1="{_fmt(y0)}" x2="{MARGIN_LEFT + plot_w}"'
+        f'<line x1="{MARGIN_LEFT}" y1="{_fmt(y0)}" x2="{MARGIN_LEFT + PLOT_W}"'
         f' y2="{_fmt(y0)}" stroke="black" stroke-width="1"/>'
     )
     out.append(
@@ -145,7 +160,7 @@ def render_svg(scene: Scene) -> bytes:
         )
         alpha_tick += alpha_step
     out.append(
-        f'<text x="{MARGIN_LEFT + plot_w}" y="{_fmt(y0 + 34)}" font-size="13"'
+        f'<text x="{MARGIN_LEFT + PLOT_W}" y="{_fmt(y0 + 34)}" font-size="13"'
         ' text-anchor="end">beta</text>'
     )
     out.append(
@@ -176,7 +191,9 @@ def render_svg(scene: Scene) -> bytes:
                 f' stroke-width="1.2" points="{" ".join(points)}"/>'
             )
 
-    def arc_path(center: float, radius: float) -> str:
+    def arc_path(circle: Circle) -> str:
+        center = float(circle.center)
+        radius = math.sqrt(float(circle.radius_sq))
         x1 = px(center - radius)
         x2 = px(center + radius)
         rx = radius * scale_x
@@ -187,23 +204,19 @@ def render_svg(scene: Scene) -> bytes:
         )
 
     if scene.bmt is not None:
-        center = float(scene.bmt.center)
-        radius = math.sqrt(float(scene.bmt.radius_sq))
         out.append(
-            f'<path id="bmt" d="{arc_path(center, radius)}" fill="none"'
+            f'<path id="bmt" d="{arc_path(scene.bmt)}" fill="none"'
             ' stroke="#b05050" stroke-width="1" stroke-dasharray="6 4"/>'
         )
 
     for index, wall in enumerate(scene.walls):
-        center = float(wall.circle.center)
-        radius = math.sqrt(float(wall.circle.radius_sq))
         out.append(
-            f'<path id="wall-{index}" d="{arc_path(center, radius)}" fill="none"'
+            f'<path id="wall-{index}" d="{arc_path(wall.circle)}" fill="none"'
             ' stroke="#2040a0" stroke-width="1.6"/>'
         )
     out.append("</g>")
 
-    for index, wall in enumerate(scene.walls):
+    for wall in scene.walls:
         center = float(wall.circle.center)
         radius = math.sqrt(float(wall.circle.radius_sq))
         label_y = max(py(radius) - 6, MARGIN_TOP + 12)

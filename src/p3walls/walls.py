@@ -51,7 +51,8 @@ most four divisions, and a row whose clipped window is empty never reaches
 the predicate.  The searches differ only in which rows they clip: the
 derived search visits each unordered pair ``{w, v - w}`` from one member.
 A class whose search cannot be certified finite is refused before any row
-is scanned.
+is scanned; :func:`brute_force_walls` (``p3walls walls --brute-force``)
+scans an explicit box for it instead.
 """
 
 from __future__ import annotations
@@ -65,7 +66,7 @@ from typing import Iterable, NamedTuple, Optional
 
 from .chern import ChernCharacter, ChernTruncation, RationalInput, _rat
 # walls.wall_admissible and walls.nu stay bound: perfbench/tracer.py wraps them by name.
-from .stability import TiltPoint, nu, wall_admissible  # noqa: F401
+from .stability import TiltPoint, TruncationLike, nu, wall_admissible  # noqa: F401
 
 
 class NestedRelation(enum.Enum):
@@ -135,6 +136,8 @@ class Region:
 
 #: The search window used throughout: every wall of ``(1, 0, -6, 15)`` lives here.
 DEFAULT_REGION = Region(-12, 0, 64)
+#: Version tag of every JSON document the package prints.
+SCHEMA = "p3walls/1"
 
 
 @dataclass(frozen=True)
@@ -169,24 +172,15 @@ class SearchBounds(NamedTuple):
 
 
 class WallSearchError(RuntimeError):
-    """Raised when the derived enumeration bounds cannot certify termination."""
+    """Raised when the derived enumeration bounds cannot certify termination;
+    :func:`brute_force_walls` (``p3walls walls --brute-force``) scans a box instead."""
 
 
-def _truncation(ch: ChernCharacter | ChernTruncation) -> ChernTruncation:
-    if isinstance(ch, ChernCharacter):
-        return ch.truncation()
-    return ch
-
-
-def tilt_wall_locus(
-    v: ChernCharacter | ChernTruncation,
-    w: ChernCharacter | ChernTruncation,
-) -> WallLocus:
+def tilt_wall_locus(v: TruncationLike, w: TruncationLike) -> WallLocus:
     """Locus of tilt-slope equality of ``v`` and ``w``; see the module docstring."""
-    a, b = _truncation(v), _truncation(w)
-    k1 = a.r * b.c - b.r * a.c
-    k2 = a.r * b.d - b.r * a.d
-    k3 = a.c * b.d - b.c * a.d
+    k1 = v.r * w.c - w.r * v.c
+    k2 = v.r * w.d - w.r * v.d
+    k3 = v.c * w.d - w.c * v.d
     if k1 != 0:
         center = k2 / k1
         radius_sq = center * center - 2 * k3 / k1
@@ -205,26 +199,23 @@ def wall_top(locus: WallLocus) -> TiltPoint:
     return TiltPoint(locus.center, locus.radius_sq)
 
 
-def hyperbola_alpha_sq(
-    v: ChernCharacter | ChernTruncation, beta: RationalInput
-) -> Optional[Fraction]:
+def hyperbola_alpha_sq(v: TruncationLike, beta: RationalInput) -> Optional[Fraction]:
     """Height ``alpha^2`` of the slope-zero locus of ``v`` over ``beta``.
 
     Returns ``None`` where the locus has no point of positive height.  For
     rank zero the locus is a vertical line and a height function over
     ``beta`` makes no sense, so that case is rejected.
     """
-    t = _truncation(v)
-    if t.r == 0:
+    if v.r == 0:
         raise ValueError("slope-zero locus of a rank-zero class is a vertical line")
     b = _rat(beta)
-    value = 2 * (t.d - b * t.c + b * b / 2 * t.r) / t.r
+    value = 2 * (v.d - b * v.c + b * b / 2 * v.r) / v.r
     return value if value > 0 else None
 
 
-def on_hyperbola(v: ChernCharacter | ChernTruncation, point: TiltPoint) -> bool:
+def on_hyperbola(v: TruncationLike, point: TiltPoint) -> bool:
     """Whether ``point`` lies on the slope-zero locus of ``v``."""
-    return nu(_truncation(v), point) == 0
+    return nu(v, point) == 0
 
 
 def _region_ints(region: Region) -> tuple[int, int, int, int, int]:
@@ -711,21 +702,14 @@ def _scan_rank(ctx: _WallContext, sink: dict, r: int, t_hi: Fraction) -> None:
             _row_walls(ctx, sink, r, c, Ds)
 
 
-def enumerate_tilt_walls(
-    v: ChernCharacter,
-    region: Region,
-    bounds: Optional[SearchBounds] = None,
-) -> list[WallCandidate]:
+def enumerate_tilt_walls(v: ChernCharacter, region: Region) -> list[WallCandidate]:
     """All circle walls of ``v`` meeting the region, outermost first.
 
     Walls are deduplicated by locus and unordered destabilizing pair, then
-    sorted by descending squared radius and by the sub member.  When
-    ``bounds`` is given the search delegates to :func:`brute_force_walls`
-    over that box.
-
-    Otherwise the search runs on derived bounds, each a consequence of
-    evaluating the wall data at the top of a candidate circle, where every
-    participating slope vanishes.  For ``r_v >= 0``, one member per pair:
+    sorted by descending squared radius and by the sub member.  The search
+    runs on derived bounds, each a consequence of evaluating the wall data
+    at the top of a candidate circle, where every participating slope
+    vanishes.  For ``r_v >= 0``, one member per pair:
 
     * a member rank ``0 <= r <= r_v`` satisfies
       ``|c - r c_v / r_v| <= disc(v) / (2 r_v rho)``, which caps the radius
@@ -745,14 +729,13 @@ def enumerate_tilt_walls(
     (:func:`_mirror_wall`); the oracle takes no such step.
 
     When no vacuity disc exists the outside-rank loop has no certified stop,
-    and a :class:`WallSearchError`, raised before any scan, asks for
-    explicit bounds instead of guessing.  A nonpositive discriminant admits
+    and a :class:`WallSearchError`, raised before any scan, asks for an
+    explicit box instead of guessing: :func:`brute_force_walls`, or
+    ``p3walls walls --brute-force``.  A nonpositive discriminant admits
     no circle walls at all (negative is incompatible with discriminant
     additivity; zero forces any equal-slope pair onto a vertical locus), so
     those return ``[]`` at once, as does a rank-zero class with ``c_v <= 0``.
     """
-    if bounds is not None:
-        return brute_force_walls(v, region, bounds)
     ctx = _WallContext(v, region)  # a class off the lattice is named as given
     if ctx.rv < 0:
         mirror = Region(-region.beta_max, -region.beta_min, region.alpha_sq_max)

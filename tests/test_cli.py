@@ -13,7 +13,8 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from p3walls import genus4
+from p3walls import genus4, plotting
+from p3walls import walls as walls_module
 from p3walls.chern import format_chern, from_resolution
 from p3walls.cli import build_parser, run
 from p3walls.plotting import build_scene
@@ -89,6 +90,21 @@ def test_walls_brute_force_route(capsys):
         "--format", "json",
     )
     assert code == 0 and json.loads(out)["count"] == 4
+
+
+def test_refused_class_goes_through_brute_force(capsys, monkeypatch):
+    # the refusal's advice: the box scan takes no certificate
+    def uncertified(ctx):
+        raise AssertionError("--brute-force reached the derived search's certificate")
+
+    monkeypatch.setattr(walls_module, "_vacuity_radius_cap", uncertified)
+    code, out, err = invoke(
+        capsys,
+        "walls", "--v", "1,0,-6,0", "--brute-force",
+        "--r-max", "2", "--c-max", "8", "--two-d-max", "30",
+        "--format", "json",
+    )
+    assert code == 0 and err == "" and json.loads(out)["count"] == 6
 
 
 def test_walls_empty(capsys):
@@ -367,6 +383,27 @@ def test_plot_unwritable_path_is_domain_error(tmp_path, capsys):
     assert code == 1 and err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "window",
+    [[f"--beta-max={10**400}"], [f"--alpha2-max={10**400}"], [f"--alpha2-max=1/{10**400}"],
+     ["--beta-min", "0", f"--beta-max=1/{10**400}"],
+     # a float width that overflows, or whose scale does
+     [f"--beta-min=-{10**308}", f"--beta-max={10**308}"],
+     ["--beta-min", "0", f"--beta-max=1/{10**320}"]],
+    ids=["wide", "tall", "flat", "narrow", "wide-span", "sliver"],
+)
+def test_plot_window_without_float_image_is_domain_error(tmp_path, capsys, monkeypatch, window):
+    def search(*args):
+        raise AssertionError("the window is refused before the search")
+
+    monkeypatch.setattr(plotting, "enumerate_tilt_walls", search)
+    target = tmp_path / "out.svg"
+    code, out, err = invoke(capsys, "plot", "--v", "1,0,-6,15", *window, "--out", str(target))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not target.exists()
+
+
 def _rationals(bound: int, max_denominator: int = 6):
     return st.fractions(-bound, bound, max_denominator=max_denominator).map(str)
 
@@ -403,6 +440,28 @@ def window_options(draw) -> list[str]:
     return [f"--beta-min={lo}", f"--beta-max={hi}", f"--alpha2-max={cap}"]
 
 
+def _extreme_rationals():
+    """A rational of ``|x| <= 100``, or ``+-10^k`` or ``+-1/10^k`` for
+    ``k <= 400``: beyond the float range, or rounding to zero, past ``k = 308``."""
+    powers = st.builds(
+        lambda sign, k, reciprocal: f"{sign}1/{10**k}" if reciprocal else f"{sign}{10**k}",
+        st.sampled_from(["", "-"]), st.integers(0, 400), st.booleans(),
+    )
+    return st.one_of(_rationals(100), powers)
+
+
+@st.composite
+def plot_argv(draw) -> list[str]:
+    """A plot over a window of :func:`window_options`, or over one whose
+    given bounds are :func:`_extreme_rationals`."""
+    if draw(st.booleans()):
+        window = draw(window_options())
+    else:
+        names = [name for name in ("beta-min", "beta-max", "alpha2-max") if draw(st.booleans())]
+        window = [f"--{name}={draw(_extreme_rationals())}" for name in names]
+    return ["plot", f"--v={draw(characters())}", *window, f"--out={os.devnull}"]
+
+
 @st.composite
 def walls_argv(draw) -> list[str]:
     argv = ["walls", f"--v={draw(characters())}", *draw(window_options())]
@@ -431,7 +490,7 @@ def _other_argv():
         st.tuples(st.just("euler"), ch.map("--a={}".format), ch.map("--b={}".format)),
         st.lists(st.tuples(st.integers(-20, 20), st.integers(-5, 5)), min_size=1, max_size=4)
         .map(lambda terms: ("chern", "resolve", *(f"--term={t}:{k}" for t, k in terms))),
-        st.tuples(st.just("plot"), ch.map("--v={}".format), st.just(f"--out={os.devnull}")),
+        plot_argv(),
     ).map(list)
 
 
@@ -457,6 +516,7 @@ def cli_argv(draw) -> list[str]:
 @example(["walls", "--v=5,9,-39/2,98/3", "--format=json"])
 @example(["walls", "--v=-5,-2,21,141", "--beta-min=-100", "--beta-max=100",
           "--alpha2-max=10000"])
+@example(["plot", "--v=1,0,-6,15", f"--alpha2-max=1/{10**400}", f"--out={os.devnull}"])
 @settings(max_examples=200, deadline=None)
 def test_every_invocation_exits_with_a_documented_code_in_bounded_time(argv):
     out, err = io.StringIO(), io.StringIO()

@@ -301,13 +301,19 @@ def test_unbounded_search_raises():
         enumerate_tilt_walls(
             ChernCharacter(0, 1, Fraction(-11, 2), Fraction(79, 6)), REGION
         )
-    # an explicit box always works
-    walls = enumerate_tilt_walls(
-        ChernCharacter(1, 0, -6, 0), REGION, SearchBounds(2, 8, 30)
-    )
-    assert walls == brute_force_walls(
-        ChernCharacter(1, 0, -6, 0), REGION, SearchBounds(2, 8, 30)
-    )
+    # an explicit box always works, through the oracle's own entry: the
+    # derived search takes no box
+    with pytest.raises(TypeError):
+        enumerate_tilt_walls(ChernCharacter(1, 0, -6, 0), REGION, SearchBounds(2, 8, 30))
+    walls = brute_force_walls(ChernCharacter(1, 0, -6, 0), REGION, SearchBounds(2, 8, 30))
+    assert [(w.circle, str(w.sub), str(w.quotient)) for w in walls] == [
+        (Circle(Fraction(-13, 2), Fraction(121, 4)), "1,-1,1/2", "0,1,-13/2"),
+        (Circle(Fraction(-11, 2), Fraction(73, 4)), "1,-1,-1/2", "0,1,-11/2"),
+        (Circle(Fraction(-9, 2), Fraction(33, 4)), "1,-1,-3/2", "0,1,-9/2"),
+        (Circle(-4, 4), "1,-2,2", "0,2,-8"),
+        (Circle(Fraction(-7, 2), Fraction(1, 4)), "1,-1,-5/2", "0,1,-7/2"),
+        (Circle(Fraction(-7, 2), Fraction(1, 4)), "2,-5,11/2", "-1,5,-23/2"),
+    ]
 
 
 #: Ranks 4 and 5 whose middle-rank caps lie far above their walls: the hull
@@ -576,6 +582,30 @@ def regions(draw) -> Region:
     width = Fraction(draw(st.integers(1, 60)), draw(st.integers(1, 6)))
     cap = Fraction(draw(st.integers(1, 400)), draw(st.integers(1, 8)))
     return Region(lo, lo + width, cap)
+
+
+@given(
+    rational_totals(), rational_totals(),
+    st.fractions(min_value=-50, max_value=50, max_denominator=16),
+    st.fractions(min_value=Fraction(1, 16), max_value=100, max_denominator=16),
+)
+@example(V, line_bundle_ch(-2), Fraction(-4), Fraction(1))
+def test_character_and_truncation_give_the_same_geometry(ch, other, beta, alpha_sq):
+    """The locus and slope-zero queries read only ``r``, ``c`` and ``d``: a
+    character and its truncation answer alike, in either argument position."""
+    t, u = ch.truncation(), other.truncation()
+    for a in (ch, t):
+        for b in (other, u):
+            assert tilt_wall_locus(a, b) == tilt_wall_locus(t, u)
+            assert tilt_wall_locus(b, a) == tilt_wall_locus(u, t)
+    points = [TiltPoint(beta, alpha_sq)]
+    if ch.r:
+        height = hyperbola_alpha_sq(t, beta)
+        assert hyperbola_alpha_sq(ch, beta) == height
+        if height is not None:
+            points.append(TiltPoint(beta, height))
+    for point in points:
+        assert on_hyperbola(ch, point) == on_hyperbola(t, point)
 
 
 @given(rational_totals(), regions(), st.integers(-3, 3), st.integers(-10, 2))
