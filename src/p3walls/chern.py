@@ -24,11 +24,13 @@ exactly these conditions.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, TypeVar
 
 RationalInput = Fraction | int | str
+_T = TypeVar("_T", bound="ChernTruncation")
 
 #: Todd class of projective 3-space, degree 0 through 3.
 TODD = (Fraction(1), Fraction(2), Fraction(11, 6), Fraction(1))
@@ -47,6 +49,10 @@ class ChernTruncation:
     Tilt stability only ever sees these three components, so wall machinery
     works with truncations and the missing ``ch_3`` stays honestly unknown
     instead of being zero-filled.
+
+    Sums, differences, negatives and scalar multiples are componentwise and
+    return the type of their left operand: a truncation plus a character is
+    a truncation, while a character plus a truncation is a :class:`TypeError`.
     """
 
     r: Fraction
@@ -58,18 +64,20 @@ class ChernTruncation:
         object.__setattr__(self, "c", _rat(self.c))
         object.__setattr__(self, "d", _rat(self.d))
 
-    def __add__(self, other: "ChernTruncation") -> "ChernTruncation":
-        return ChernTruncation(self.r + other.r, self.c + other.c, self.d + other.d)
+    def _parts(self) -> tuple[Fraction, ...]:
+        return self.r, self.c, self.d
 
-    def __sub__(self, other: "ChernTruncation") -> "ChernTruncation":
-        return ChernTruncation(self.r - other.r, self.c - other.c, self.d - other.d)
+    def __add__(self: _T, other: ChernTruncation) -> _T:
+        return type(self)(*map(operator.add, self._parts(), other._parts()))
 
-    def __neg__(self) -> "ChernTruncation":
-        return ChernTruncation(-self.r, -self.c, -self.d)
+    def __sub__(self: _T, other: ChernTruncation) -> _T:
+        return type(self)(*map(operator.sub, self._parts(), other._parts()))
 
-    def __mul__(self, scalar: RationalInput) -> "ChernTruncation":
-        s = _rat(scalar)
-        return ChernTruncation(s * self.r, s * self.c, s * self.d)
+    def __neg__(self: _T) -> _T:
+        return type(self)(*map(operator.neg, self._parts()))
+
+    def __mul__(self: _T, scalar: RationalInput) -> _T:
+        return type(self)(*map(_rat(scalar).__mul__, self._parts()))
 
     __rmul__ = __mul__
 
@@ -83,7 +91,7 @@ class ChernTruncation:
         )
 
     def discriminant(self) -> Fraction:
-        """``c^2 - 2 r d``; invariant under :meth:`twist`."""
+        """``c^2 - 2 r d``; invariant under twists, integral on lattice classes."""
         return self.c * self.c - 2 * self.r * self.d
 
     def is_lattice(self) -> bool:
@@ -115,16 +123,13 @@ class ChernTruncation:
         return ChernCharacter(self.r, self.c, self.d, e)
 
     def __str__(self) -> str:
-        return f"{self.r},{self.c},{self.d}"
+        return ",".join(map(str, self._parts()))
 
 
 @dataclass(frozen=True)
-class ChernCharacter:
-    """A full rational character ``(r, c, d, e)``."""
+class ChernCharacter(ChernTruncation):
+    """A full rational character ``(r, c, d, e)``: a truncation with ``ch_3``."""
 
-    r: Fraction
-    c: Fraction
-    d: Fraction
     e: Fraction
 
     def __post_init__(self) -> None:
@@ -133,24 +138,8 @@ class ChernCharacter:
         object.__setattr__(self, "d", _rat(self.d))
         object.__setattr__(self, "e", _rat(self.e))
 
-    def __add__(self, other: "ChernCharacter") -> "ChernCharacter":
-        return ChernCharacter(
-            self.r + other.r, self.c + other.c, self.d + other.d, self.e + other.e
-        )
-
-    def __sub__(self, other: "ChernCharacter") -> "ChernCharacter":
-        return ChernCharacter(
-            self.r - other.r, self.c - other.c, self.d - other.d, self.e - other.e
-        )
-
-    def __neg__(self) -> "ChernCharacter":
-        return ChernCharacter(-self.r, -self.c, -self.d, -self.e)
-
-    def __mul__(self, scalar: RationalInput) -> "ChernCharacter":
-        s = _rat(scalar)
-        return ChernCharacter(s * self.r, s * self.c, s * self.d, s * self.e)
-
-    __rmul__ = __mul__
+    def _parts(self) -> tuple[Fraction, ...]:
+        return self.r, self.c, self.d, self.e
 
     def truncation(self) -> ChernTruncation:
         return ChernTruncation(self.r, self.c, self.d)
@@ -169,21 +158,14 @@ class ChernCharacter:
         """The character of the derived dual: odd components change sign."""
         return ChernCharacter(self.r, -self.c, self.d, -self.e)
 
-    def discriminant(self) -> Fraction:
-        """``c^2 - 2 r d``; twist-invariant, integral on lattice classes."""
-        return self.c * self.c - 2 * self.r * self.d
-
     def is_integral(self) -> bool:
         """Whether the character can come from a sheaf (lattice membership)."""
-        if not self.truncation().is_lattice():
+        if not self.is_lattice():
             return False
         if (6 * self.e).denominator != 1:
             return False
         chi_against_structure = self.e + 2 * self.d + Fraction(11, 6) * self.c + self.r
         return chi_against_structure.denominator == 1
-
-    def __str__(self) -> str:
-        return format_chern(self)
 
 
 def line_bundle_ch(t: RationalInput) -> ChernCharacter:

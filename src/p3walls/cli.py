@@ -2,7 +2,7 @@
 
 Results go to stdout, diagnostics to stderr.  Exit codes: 0 on success, 1
 for domain failures (an unbounded search, a rank-zero hyperbola request, a
-plot window with no float image), 2 for malformed invocations, which
+plot window or class with no float image), 2 for malformed invocations, which
 argparse reports itself, and for a ``--brute-force`` box of more than
 ``MAX_BOX_TRIPLES`` triples or more than ``MAX_BOX_ROWS`` rows ``(r, c)``,
 refused before any scan.  JSON output always carries ``"schema": "p3walls/1"``.

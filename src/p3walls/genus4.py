@@ -352,27 +352,6 @@ def extension_ext1_bound(sub_sub: int, quot_quot: int, sub_quot: int, quot_sub: 
     return sub_sub + quot_quot + sub_quot + quot_sub - 1
 
 
-def _ext1_corners() -> tuple[int, int, int]:
-    """Recorded ``ext1`` of (line, line), (planar, planar) and (planar, line)."""
-    ext1 = {(a, b): dim for a, b, group, dim in EXT_ASSUMPTIONS if group == "ext1"}
-    return (ext1[(LINE_FACTOR, LINE_FACTOR)], ext1[(PLANAR_FACTOR, PLANAR_FACTOR)],
-            ext1[(PLANAR_FACTOR, LINE_FACTOR)])
-
-
-def stratum_ext1_dim(incidence_defect: int) -> int:
-    """Total ``ext1(E, E)`` dimension over the stratum with the given defect.
-
-    The four corners are the three recorded ``ext1`` dimensions of
-    :data:`EXT_ASSUMPTIONS` and the defect, minus one for the projectivized
-    extension; only the defects of :class:`Stratum` occur.
-    """
-    defects = [stratum.incidence_defect for stratum in Stratum]
-    if incidence_defect not in defects:
-        raise ValueError(f"incidence defect must be one of {defects}, got {incidence_defect}")
-    line, planar, cross = _ext1_corners()
-    return extension_ext1_bound(line, planar, incidence_defect, cross)
-
-
 @dataclass(frozen=True)
 class LedgerEntry:
     """One named dimension, tagged with how it was obtained."""
@@ -410,7 +389,10 @@ def exceptional_ledger() -> list[LedgerEntry]:
     recorded = {name: LedgerEntry(name, dim, "recorded", note)
                 for name, dim, note in RECORDED_DIMENSIONS}
     dims = {name: entry.value for name, entry in recorded.items()}
-    ext_line, ext_planar, ext_cross = _ext1_corners()
+    ext1 = {(a, b): dim for a, b, group, dim in EXT_ASSUMPTIONS if group == "ext1"}
+    ext_line, ext_planar, ext_cross = (
+        ext1[(LINE_FACTOR, LINE_FACTOR)], ext1[(PLANAR_FACTOR, PLANAR_FACTOR)],
+        ext1[(PLANAR_FACTOR, LINE_FACTOR)])
     # projective 3-space, and its dual: the planes; a plane, and its dual: its lines
     space = _h0(1) - 1
     plane = space - 1

@@ -75,7 +75,12 @@ def build_scene(
     return Scene(region, walls, hyperbola, bmt_zero_circle(v), caption)
 
 
+_BEYOND_FLOATS = "the picture has no float image: a coordinate is beyond the float range"
+
+
 def _fmt(value: float) -> str:
+    if not math.isfinite(value):
+        raise ValueError(_BEYOND_FLOATS)
     return f"{value:.6f}"
 
 
@@ -95,7 +100,16 @@ def _float_window(region: Region) -> tuple[float, float, float]:
 
 
 def render_svg(scene: Scene) -> bytes:
-    """Render a scene to SVG bytes; same scene, same bytes."""
+    """Render a scene to SVG bytes; same scene, same bytes.  A
+    :class:`ValueError` when a coordinate of the class's own curves has no
+    finite float image."""
+    try:
+        return _render(scene)
+    except OverflowError:
+        raise ValueError(_BEYOND_FLOATS) from None
+
+
+def _render(scene: Scene) -> bytes:
     region = scene.region
     beta_min, beta_max, alpha_max = _float_window(region)
     scale_x = PLOT_W / (beta_max - beta_min)

@@ -31,8 +31,6 @@ from typing import NamedTuple
 
 from .chern import ChernCharacter, ChernTruncation, RationalInput, _rat
 
-TruncationLike = ChernCharacter | ChernTruncation
-
 
 class _Infinity:
     """Positive infinity for slope comparisons; a single shared instance."""
@@ -103,20 +101,20 @@ class ChargeValue(NamedTuple):
     im: Fraction
 
 
-def mu_beta(ch: TruncationLike, beta: RationalInput) -> ExtendedRational:
+def mu_beta(ch: ChernTruncation, beta: RationalInput) -> ExtendedRational:
     """Twisted Mumford slope ``(c - beta r) / r``; ``+infinity`` for rank 0."""
     if ch.r == 0:
         return INFINITY
     return (ch.c - _rat(beta) * ch.r) / ch.r
 
 
-def tilt_charge(ch: TruncationLike, point: TiltPoint) -> ChargeValue:
+def tilt_charge(ch: ChernTruncation, point: TiltPoint) -> ChargeValue:
     """Central charge of tilt stability: ``-d^b + alpha^2/2 r^b + i c^b``."""
-    tw = ChernTruncation(ch.r, ch.c, ch.d).twist(point.beta)
+    tw = ChernTruncation.twist(ch, point.beta)
     return ChargeValue(-tw.d + point.alpha_sq / 2 * tw.r, tw.c)
 
 
-def nu(ch: TruncationLike, point: TiltPoint) -> ExtendedRational:
+def nu(ch: ChernTruncation, point: TiltPoint) -> ExtendedRational:
     """Tilt slope at ``point``; ``+infinity`` when the twisted ``c`` vanishes."""
     re, im = tilt_charge(ch, point)
     if im == 0:
@@ -161,7 +159,7 @@ def bmt_form(ch: ChernCharacter, point: TiltPoint) -> Fraction:
     )
 
 
-def wall_admissible(sub: TruncationLike, total: TruncationLike, point: TiltPoint) -> bool:
+def wall_admissible(sub: ChernTruncation, total: ChernTruncation, point: TiltPoint) -> bool:
     """Whether ``sub`` can numerically destabilize ``total`` at ``point``.
 
     Requires both charge imaginary parts on the correct side: ``0 < Im

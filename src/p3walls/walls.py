@@ -66,7 +66,7 @@ from typing import Iterable, NamedTuple, Optional
 
 from .chern import ChernCharacter, ChernTruncation, RationalInput, _rat
 # walls.wall_admissible and walls.nu stay bound: perfbench/tracer.py wraps them by name.
-from .stability import TiltPoint, TruncationLike, nu, wall_admissible  # noqa: F401
+from .stability import TiltPoint, nu, wall_admissible  # noqa: F401
 
 
 class NestedRelation(enum.Enum):
@@ -176,7 +176,7 @@ class WallSearchError(RuntimeError):
     :func:`brute_force_walls` (``p3walls walls --brute-force``) scans a box instead."""
 
 
-def tilt_wall_locus(v: TruncationLike, w: TruncationLike) -> WallLocus:
+def tilt_wall_locus(v: ChernTruncation, w: ChernTruncation) -> WallLocus:
     """Locus of tilt-slope equality of ``v`` and ``w``; see the module docstring."""
     k1 = v.r * w.c - w.r * v.c
     k2 = v.r * w.d - w.r * v.d
@@ -199,7 +199,7 @@ def wall_top(locus: WallLocus) -> TiltPoint:
     return TiltPoint(locus.center, locus.radius_sq)
 
 
-def hyperbola_alpha_sq(v: TruncationLike, beta: RationalInput) -> Optional[Fraction]:
+def hyperbola_alpha_sq(v: ChernTruncation, beta: RationalInput) -> Optional[Fraction]:
     """Height ``alpha^2`` of the slope-zero locus of ``v`` over ``beta``.
 
     Returns ``None`` where the locus has no point of positive height.  For
@@ -213,7 +213,7 @@ def hyperbola_alpha_sq(v: TruncationLike, beta: RationalInput) -> Optional[Fract
     return value if value > 0 else None
 
 
-def on_hyperbola(v: TruncationLike, point: TiltPoint) -> bool:
+def on_hyperbola(v: ChernTruncation, point: TiltPoint) -> bool:
     """Whether ``point`` lies on the slope-zero locus of ``v``."""
     return nu(v, point) == 0
 
@@ -347,13 +347,12 @@ class _WallContext:
     """
 
     def __init__(self, v: ChernCharacter, region: Region):
-        tr = v.truncation()
-        if not tr.is_lattice():
+        if not v.is_lattice():
             raise ValueError(f"total class is not on the truncation lattice: {v}")
         self.region_ints = _region_ints(region)
-        self.rv = int(tr.r)
-        self.cv = int(tr.c)
-        self.Dv = int(2 * tr.d)
+        self.rv = int(v.r)
+        self.cv = int(v.c)
+        self.Dv = int(2 * v.d)
         self.delta = self.cv * self.cv - self.rv * self.Dv  # integer discriminant
         # g1 = -2 c_v d_v + 6 r_v e_v and g0 = 4 d_v^2 - 6 c_v e_v over their
         # least common denominator g: g1 = G1 / g, g0 = G0 / g.

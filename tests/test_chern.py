@@ -28,6 +28,11 @@ def characters(draw) -> ChernCharacter:
 
 
 @st.composite
+def truncations(draw) -> ChernTruncation:
+    return ChernTruncation(*(draw(rationals) for _ in range(3)))
+
+
+@st.composite
 def integral_characters(draw) -> ChernCharacter:
     """Integral classes via the coordinates (rank, degree, twisted ch2, chi)."""
     r = draw(small_ints)
@@ -172,3 +177,40 @@ def test_arithmetic_and_scalar_multiple():
     assert a + b == ChernCharacter(1, 0, -6, 15)
     assert 2 * a == a + a
     assert -a == a * -1
+
+
+def _components(x: ChernTruncation) -> list[Fraction]:
+    return [x.r, x.c, x.d] + ([x.e] if isinstance(x, ChernCharacter) else [])
+
+
+@given(st.sampled_from([truncations, characters]).flatmap(lambda kind: st.tuples(kind(), kind())),
+       rationals)
+def test_arithmetic_is_componentwise_and_keeps_the_left_type(pair, s):
+    x, y = pair
+    results = {
+        "add": (x + y, [a + b for a, b in zip(_components(x), _components(y))]),
+        "sub": (x - y, [a - b for a, b in zip(_components(x), _components(y))]),
+        "neg": (-x, [-a for a in _components(x)]),
+        "mul": (x * s, [s * a for a in _components(x)]),
+        "rmul": (s * x, [s * a for a in _components(x)]),
+    }
+    for name, (result, expected) in results.items():
+        assert type(result) is type(x), name
+        assert _components(result) == expected, name
+    assert x.discriminant() == x.c * x.c - 2 * x.r * x.d
+
+
+@given(truncations(), characters(), rationals)
+def test_a_character_is_a_truncation_with_ch3(tr, ch, beta):
+    assert isinstance(ch, ChernTruncation)
+    assert ChernTruncation.twist(ch, beta) == ch.truncation().twist(beta)
+    assert ch.discriminant() == ch.truncation().discriminant()
+    assert ch.is_lattice() == ch.truncation().is_lattice()
+    # equality compares the class: a truncation never equals a character
+    assert ch != ch.truncation()
+    assert tr + ch == tr + ch.truncation()
+    assert tr - ch == tr - ch.truncation()
+    with pytest.raises(TypeError):
+        ch + tr
+    with pytest.raises(TypeError):
+        ch - tr

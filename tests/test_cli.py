@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from p3walls import genus4, plotting
 from p3walls import walls as walls_module
-from p3walls.chern import format_chern, from_resolution
+from p3walls.chern import format_chern, from_resolution, parse_chern
 from p3walls.cli import build_parser, run
 from p3walls.plotting import build_scene
 from p3walls.walls import DEFAULT_REGION, Region
@@ -404,6 +404,20 @@ def test_plot_window_without_float_image_is_domain_error(tmp_path, capsys, monke
     assert not target.exists()
 
 
+@pytest.mark.parametrize(
+    "v",
+    [f"{10**400},0,0,0", str(parse_chern("1,0,-6,15").twist(10**400)),
+     str(parse_chern("1,0,-6,15").twist(-5 * 10**306))],
+    ids=["huge-rank", "twist-overflows", "twist-scales-to-infinity"],
+)
+def test_plot_class_without_float_image_is_domain_error(tmp_path, capsys, v):
+    target = tmp_path / "out.svg"
+    code, out, err = invoke(capsys, "plot", f"--v={v}", "--out", str(target))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not target.exists()
+
+
 def _rationals(bound: int, max_denominator: int = 6):
     return st.fractions(-bound, bound, max_denominator=max_denominator).map(str)
 
@@ -440,6 +454,15 @@ def window_options(draw) -> list[str]:
     return [f"--beta-min={lo}", f"--beta-max={hi}", f"--alpha2-max={cap}"]
 
 
+@st.composite
+def twisted_characters(draw) -> str:
+    """A class of :func:`characters` twisted by ``+-10^k`` for ``k <= 400``:
+    entries beyond the float range, but the discriminant, and so the wall
+    search, of a small class."""
+    beta = draw(st.sampled_from([1, -1])) * 10 ** draw(st.integers(0, 400))
+    return str(parse_chern(draw(characters())).twist(beta))
+
+
 def _extreme_rationals():
     """A rational of ``|x| <= 100``, or ``+-10^k`` or ``+-1/10^k`` for
     ``k <= 400``: beyond the float range, or rounding to zero, past ``k = 308``."""
@@ -452,14 +475,16 @@ def _extreme_rationals():
 
 @st.composite
 def plot_argv(draw) -> list[str]:
-    """A plot over a window of :func:`window_options`, or over one whose
-    given bounds are :func:`_extreme_rationals`."""
+    """A plot of a small or a :func:`twisted_characters` class over a window
+    of :func:`window_options`, or over one whose given bounds are
+    :func:`_extreme_rationals`."""
     if draw(st.booleans()):
         window = draw(window_options())
     else:
         names = [name for name in ("beta-min", "beta-max", "alpha2-max") if draw(st.booleans())]
         window = [f"--{name}={draw(_extreme_rationals())}" for name in names]
-    return ["plot", f"--v={draw(characters())}", *window, f"--out={os.devnull}"]
+    v = draw(st.one_of(characters(), twisted_characters()))
+    return ["plot", f"--v={v}", *window, f"--out={os.devnull}"]
 
 
 @st.composite
@@ -478,13 +503,16 @@ def walls_argv(draw) -> list[str]:
 
 def _other_argv():
     ch = characters()
+    # huge classes only as twists: a twist keeps the discriminant, which
+    # bounds the wall search
+    ch_or_twist = st.one_of(ch, twisted_characters())
     return st.one_of(
-        st.tuples(st.just("hyperbola"), ch.map("--v={}".format),
+        st.tuples(st.just("hyperbola"), ch_or_twist.map("--v={}".format),
                   _rationals(100).map("--beta={}".format)),
-        st.tuples(st.just("bmt"), ch.map("--v={}".format),
+        st.tuples(st.just("bmt"), ch_or_twist.map("--v={}".format),
                   _rationals(100).map("--beta={}".format),
                   _rationals(10**4).map("--alpha2={}".format)),
-        st.tuples(st.just("chern"), st.just("twist"), ch.map("--ch={}".format),
+        st.tuples(st.just("chern"), st.just("twist"), ch_or_twist.map("--ch={}".format),
                   _rationals(100).map("--beta={}".format)),
         st.tuples(st.just("chern"), st.just("dual"), ch.map("--ch={}".format)),
         st.tuples(st.just("euler"), ch.map("--a={}".format), ch.map("--b={}".format)),
@@ -517,6 +545,7 @@ def cli_argv(draw) -> list[str]:
 @example(["walls", "--v=-5,-2,21,141", "--beta-min=-100", "--beta-max=100",
           "--alpha2-max=10000"])
 @example(["plot", "--v=1,0,-6,15", f"--alpha2-max=1/{10**400}", f"--out={os.devnull}"])
+@example(["plot", f"--v={10**400},0,0,0", f"--out={os.devnull}"])
 @settings(max_examples=200, deadline=None)
 def test_every_invocation_exits_with_a_documented_code_in_bounded_time(argv):
     out, err = io.StringIO(), io.StringIO()

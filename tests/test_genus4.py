@@ -155,9 +155,6 @@ def test_dimension_helpers():
     assert genus4.proj_bundle_dim(11, 18) == 28
     assert genus4.extension_ext1_bound(8, 3, 1, 13) == 24
     assert genus4.extension_ext1_bound(4, 7, 2, 18) == 30
-    assert [genus4.stratum_ext1_dim(k) for k in (0, 1, 2)] == [28, 29, 30]
-    with pytest.raises(ValueError):
-        genus4.stratum_ext1_dim(3)
 
 
 def test_exceptional_ledger_values():
@@ -372,15 +369,6 @@ def test_recorded_ledger_entries_read_their_table_row():
     assert ledger["planar_factor_moduli_dim"].value == ext1[(P, P)]
 
 
-def test_stratum_ext1_dim_follows_edited_assumptions(monkeypatch):
-    edited = tuple(
-        (a, b, group, dim + 1 if (a, b, group) == (P, L, "ext1") else dim)
-        for a, b, group, dim in genus4.EXT_ASSUMPTIONS
-    )
-    monkeypatch.setattr(genus4, "EXT_ASSUMPTIONS", edited)
-    assert [genus4.stratum_ext1_dim(k) for k in (0, 1, 2)] == [29, 30, 31]
-
-
 def test_ledger_notes_follow_the_degrees(monkeypatch):
     # a hypothetical quartic in place of the cubic: the notes show the new h0;
     # the cached total class is built from the true degrees first
@@ -400,6 +388,6 @@ def _literals_above_one(function) -> list[int]:
     ]
 
 
-@pytest.mark.parametrize("name", ["exceptional_ledger", "stratum_ext1_dim"])
+@pytest.mark.parametrize("name", ["exceptional_ledger"])
 def test_no_recorded_number_is_typed_into_the_ledger(name):
     assert _literals_above_one(getattr(genus4, name)) == []
