@@ -43,7 +43,8 @@ from .stability import TiltPoint, bmt_form
 #: Largest ``--brute-force`` box, counted in ``(r, c, 2d)`` triples.
 MAX_BOX_TRIPLES = 10**7
 #: Largest ``--brute-force`` box, counted in rows ``(r, c)``: each row is
-#: clipped before the predicate sees it, so a thin box costs per row.
+#: walked and clipped before the predicate sees it, so a thin box costs per
+#: row (999,999 rows take about 1 s).
 MAX_BOX_ROWS = 10**6
 
 

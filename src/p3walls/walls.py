@@ -27,8 +27,9 @@ All of these are decided on integers: the circle of a triple has center
 ``K2 / m`` and squared radius ``quarter / m^2`` with ``m = 2 k1``, and each
 test, multiplied through by a positive power of ``m`` and by the fixed
 denominators of the region and of the positivity form, becomes a sign or
-square comparison of integers.  Rationals (the circle and the member
-truncations) are built only for triples that are kept as walls.
+square comparison of integers.  A search keeps each wall as the integers
+of its pair, and rationals (the circle and the member truncations) are
+built once per wall, after the search.
 
 The last filter removes circles lying entirely in the part of the
 half-plane where no semistable object with class ``v`` exists; without it
@@ -42,14 +43,18 @@ is what makes a finite, certified enumeration possible; see
 :func:`enumerate_tilt_walls` for the derived search bounds.
 
 Both searches decide the predicate one row ``(r, c)`` at a time, computing
-what depends only on the row once (:func:`_row_walls`), and both first clip
-each row's window to the lattice points that pass the predicate's tests
-linear in ``2d``.  The clip is set up once per member rank
-(:class:`_RankLines`): the tests' coefficients of ``2d`` depend on the row
-only through the sign of ``k1``, so a row costs its right-hand sides and at
-most four divisions, and a row whose clipped window is empty never reaches
-the predicate.  The searches differ only in which rows they clip: the
-derived search visits each unordered pair ``{w, v - w}`` from one member.
+what depends only on the row once (:func:`_row_walls`), and both walk each
+member rank's rows once (:meth:`_RankLines.walk`), clipping each row's
+window to the lattice points that pass five of the predicate's tests: the
+four linear in ``2d`` and the circle test.  The tests are set up once per
+member rank (:class:`_RankLines`): the linear tests' coefficients of ``2d``
+depend on the row only through the sign of ``k1``, and the circle test
+fails on one interval of ``2d`` that admissibility keeps to one side of
+the window, so a row costs its right-hand sides, at most five divisions
+and one integer square root, and a row whose clipped window is empty never
+reaches the predicate.  The searches differ only in which rows they walk:
+the derived search visits each unordered pair ``{w, v - w}`` from one
+member.
 A class whose search cannot be certified finite is refused before any row
 is scanned; :func:`brute_force_walls` (``p3walls walls --brute-force``)
 scans an explicit box for it instead.
@@ -89,7 +94,7 @@ class Circle:
     def __post_init__(self) -> None:
         object.__setattr__(self, "center", _rat(self.center))
         object.__setattr__(self, "radius_sq", _rat(self.radius_sq))
-        if self.radius_sq <= 0:
+        if self.radius_sq.numerator <= 0:
             raise ValueError(f"radius_sq must be positive, got {self.radius_sq}")
 
 
@@ -342,14 +347,15 @@ class _WallContext:
     Whether the zero circle of the positivity form (:func:`bmt_zero_circle`)
     exists is decided on integers: ``g1^2 > 4 g0 disc(v)`` with
     ``disc(v) > 0`` reads ``G1^2 > 4 G0 delta_g``.  Its rational center and
-    radius are built only when it exists, so a class refused for want of it
-    costs integer work only.
+    radius are built only when it exists, and the region's integers and the
+    slope ``mu`` only when a scan or the certificate first reads them, so a
+    class refused for want of the circle costs integer work only.
     """
 
     def __init__(self, v: ChernCharacter, region: Region):
         if not v.is_lattice():
             raise ValueError(f"total class is not on the truncation lattice: {v}")
-        self.region_ints = _region_ints(region)
+        self.region = region
         self.rv = int(v.r)
         self.cv = int(v.c)
         self.Dv = int(2 * v.d)
@@ -361,7 +367,6 @@ class _WallContext:
         G0 = self.Dv * self.Dv * e_den - 6 * self.cv * e_num
         h = math.gcd(G0, G1, e_den)
         self.G1, self.G0, self.delta_g = G1 // h, G0 // h, self.delta * (e_den // h)
-        self.mu = Fraction(self.cv, self.rv) if self.rv else None
         # bmt_zero_circle(v): center -G1 / (2 delta_g), squared radius
         # (G1^2 - 4 G0 delta_g) / (2 delta_g)^2.
         self.bmt_center = self.bmt_radius_sq = None
@@ -372,9 +377,19 @@ class _WallContext:
             )
         self._lines: dict = {}
 
+    @cached_property
+    def region_ints(self) -> tuple[int, int, int, int, int]:
+        """:func:`_region_ints` of the search region, read by the predicate."""
+        return _region_ints(self.region)
+
+    @cached_property
+    def mu(self) -> Fraction:
+        """The slope ``c_v / r_v`` (``r_v != 0``), read by the certificate and the hull."""
+        return Fraction(self.cv, self.rv)
+
     def lines(self, r: int) -> _RankLines:
-        """The linear tests of member rank ``r`` (:class:`_RankLines`), built
-        once per rank and shared by the clip and the predicate."""
+        """The tests and the row walker of member rank ``r``
+        (:class:`_RankLines`), built once per rank."""
         lines = self._lines.get(r)
         if lines is None:
             lines = self._lines[r] = _RankLines(self, r)
@@ -390,96 +405,154 @@ class _WallContext:
 
 
 class _RankLines:
-    """The four tests of the wall predicate that are linear in ``D = 2d``, on
-    the rows ``(r, c)`` of one member rank ``r``, as half-lines ``a D >= b``.
+    """The tests of the wall predicate that can be solved for ``D = 2d`` on
+    the rows ``(r, c)`` of one member rank ``r``, and the row walker
+    (:meth:`walk`) that hands each row's survivors to the predicate.
 
-    On a row with ``k1 = r_v c - r c_v != 0`` the top of the circle is
-    ``beta = K2 / m`` with ``m = 2 k1`` and ``K2 = r_v D - r D_v``.  Scaled by
-    ``|m| > 0``, the imaginary part there of a member ``x`` is
+    *Linear tests.*  On a row with ``k1 = r_v c - r c_v != 0`` the top of the
+    circle is ``beta = K2 / m`` with ``m = 2 k1`` and ``K2 = r_v D - r D_v``.
+    Scaled by ``|m| > 0``, the imaginary part there of a member ``x`` is
     ``|m| c_x - s r_x K2``, ``s = sign(k1)``, affine in ``D``, and
     admissibility ``0 < im(w) < im(v)`` is ``im(w) > 0`` and ``im(u) > 0``
     for ``w = (r, c, D/2)`` and ``u = v - w`` (strict, so ``b`` carries a
     ``+ 1``).  The member discriminants are ``c^2 - r D >= 0`` and
-    ``c_u^2 - r_u (D_v - D) >= 0``.  So the coefficients
-    ``a = (-s r_v r, -s r_v r_u, -r, r_u)`` depend on the row only through
-    ``s`` and are kept for both signs (:attr:`a`, indexed by ``k1 > 0``),
-    and the right-hand sides (:meth:`b`) cost a few products per row.  The
-    predicate (:func:`_row_walls`) and the clip (:meth:`clip`) both read the
-    tests from here; :meth:`_WallContext.lines` builds one per rank.
+    ``c_u^2 - r_u (D_v - D) >= 0``.  These four are half-lines ``a D >= b``
+    with ``a = (-s r_v r, -s r_v r_u, -r, r_u)``, which depends on the row
+    only through ``s`` and is kept for both signs (:attr:`a`, indexed by
+    ``k1 > 0``); the right-hand sides (:meth:`b`) cost a few products per
+    row.  The predicate (:func:`_row_walls`) reads them from here too.
+
+    *The circle test* ``quarter = K2^2 - 4 k1 K3 > 0``, ``K3 = c_v D - c D_v``.
+    For ``r_v = 0`` it is linear, ``4 r c_v^2 D > r D_v (4 c c_v - r D_v)``,
+    a fifth half-line, the same for both signs of ``k1``.  For ``r_v != 0``
+    it is quadratic: ``r_v^2 quarter = (r_v^2 D - p)^2 - 4 k1^2 disc(v)``
+    with ``p = 2 r_v c_v c + r (r_v D_v - 2 c_v^2)``, so the ``D`` failing
+    it, the row's gap, are the integers ``x`` with ``|r_v^2 x - p| <= s``
+    for ``s = sqrt(4 k1^2 disc(v))``, none when ``disc(v) < 0``.  An integer
+    has absolute value at most ``sqrt(n)`` exactly when it has at most
+    ``isqrt(n)``, so rounding ``s`` down with :func:`math.isqrt` gives
+    exactly the gap.  A gap could cut a window into two ranges, but it cuts
+    it from one side only: the top ``beta = K2 / m`` lies on the slope-zero
+    locus of ``v``, which reads ``r_v^2 quarter / m^2 = (r_v beta - c_v)^2 -
+    disc(v)``, and ``im(v) = im(w) + im(u) > 0`` puts ``r_v beta - c_v < 0``
+    at every ``D`` the admissibility tests keep.  As ``r_v beta - c_v``
+    grows with ``D`` when ``k1 > 0`` and falls when ``k1 < 0``, the ``D``
+    that pass lie under the gap when ``k1 > 0`` and over it when
+    ``k1 < 0``: the gap is one more bound, and a row stays one step-2 range.
     """
 
-    __slots__ = ("rv", "cv", "rcv", "h0", "h1", "h3", "a", "sides")
+    __slots__ = (
+        "r", "rv", "cv", "rcv", "h0", "h1", "h3", "h4", "a", "sides", "sq", "A", "p0", "p1"
+    )
 
     def __init__(self, ctx: _WallContext, r: int):
-        rv, Dv = ctx.rv, ctx.Dv
+        rv, cv, Dv = ctx.rv, ctx.cv, ctx.Dv
         ru = rv - r
-        self.rv, self.cv, self.rcv = rv, ctx.cv, r * ctx.cv
-        self.h0, self.h1, self.h3 = r * r * Dv, r * ru * Dv, ru * Dv
+        self.r, self.rv, self.cv, self.rcv = r, rv, cv, r * cv
+        self.h0, self.h1, self.h3, self.h4 = r * r * Dv, r * ru * Dv, ru * Dv, r * Dv
         a = (-rv * r, -rv * ru, -r, ru)  # k1 > 0; k1 < 0 flips the first two
         self.a = ((-a[0], -a[1], a[2], a[3]), a)  # indexed by k1 > 0
+        # For r_v = 0 the circle test is a fifth half-line; otherwise the gap
+        # |A D - p| <= isqrt(sq k1^2), p = p1 c + p0, when disc(v) >= 0.
+        circle = () if rv else (4 * r * cv * cv,)
+        self.sq = 4 * ctx.delta if rv and ctx.delta >= 0 else None
+        self.A, self.p1, self.p0 = rv * rv, 2 * rv * cv, r * (rv * Dv - 2 * cv * cv)
         # Per sign of k1: the tests bounding D from below (a > 0), from above
         # (a < 0, kept as -a) and those whose a vanishes.
-        self.sides = tuple(
+        self.sides = [
             (
-                tuple((i, x) for i, x in enumerate(a) if x > 0),
-                tuple((i, -x) for i, x in enumerate(a) if x < 0),
-                tuple(i for i, x in enumerate(a) if x == 0),
+                [(i, x) for i, x in enumerate(a) if x > 0],
+                [(i, -x) for i, x in enumerate(a) if x < 0],
+                [i for i, x in enumerate(a) if x == 0],
             )
-            for a in self.a
-        )
+            for a in (self.a[0] + circle, self.a[1] + circle)
+        ]
 
     def b(self, c: int, k1: int) -> tuple:
-        """The right-hand sides on the row ``c`` with ``k1 != 0``:
-        ``1 - s (2 k1 c + r^2 D_v)``, ``1 - s (2 k1 c_u + r r_u D_v)``,
-        ``-c^2`` and ``r_u D_v - c_u^2``."""
+        """The right-hand sides of the linear tests on the row ``c`` with
+        ``k1 != 0``: ``1 - s (2 k1 c + r^2 D_v)``,
+        ``1 - s (2 k1 c_u + r r_u D_v)``, ``-c^2`` and ``r_u D_v - c_u^2``."""
         cu = self.cv - c
         x0, x1 = 2 * k1 * c + self.h0, 2 * k1 * cu + self.h1
         if k1 < 0:
             x0, x1 = -x0, -x1
         return 1 - x0, 1 - x1, -c * c, self.h3 - cu * cu
 
-    def clip(self, c: int, lo: int, hi: int) -> range:
-        """The ``2d`` of the window ``lo <= 2d <= hi`` on the row ``c`` that
-        pass the four tests and lie on the lattice (``2d = c`` mod 2), as a
-        step-2 range.
+    def walk(self, ctx: _WallContext, sink: set, cs: range, ends: tuple, den: int) -> None:
+        """Hand :func:`_row_walls` the survivors of every row ``c`` in ``cs``.
 
-        Each half-line is one floor or ceiling division; a zero ``a`` leaves
-        a constant test, which empties the window when it fails, as does
-        ``k1 = 0``, where the predicate rejects the whole row.  The result
-        holds every triple of the window that :func:`_row_walls` could keep;
-        the scans hand it to the predicate only when it is not empty, and the
-        predicate still runs every test on each triple.
+        The window of row ``c`` runs from ``ceil(min(x) / den)`` to
+        ``floor(max(x) / den)`` over ``x = e c + f`` for the two ``(e, f)``
+        of ``ends``, ``den > 0``.  Each half-line is one floor or ceiling
+        division; a zero ``a`` leaves a constant test, which skips the row
+        when it fails, as does ``k1 = 0``, where the predicate rejects the
+        whole row.  The gap is one more division after one ``isqrt``, and
+        what is left is cut to the lattice (``2d = c`` mod 2).  A row left
+        with some lattice point goes to the predicate as one step-2 range,
+        and the predicate still runs every test on each triple.
         """
-        k1 = self.rv * c - self.rcv
-        if not k1:
-            return range(0)
-        b = self.b(c, k1)
-        lower, upper, fixed = self.sides[k1 > 0]
-        for i in fixed:
-            if b[i] > 0:
-                return range(0)
-        for i, a in lower:
-            x = -(-b[i] // a)
-            if x > lo:
-                lo = x
-        for i, a in upper:
-            x = -b[i] // a
-            if x < hi:
-                hi = x
-        lo += (lo - c) % 2
-        return range(lo, hi + 1, 2)
+        r, rv, cv, rcv, h0, h1, h3, h4 = (
+            self.r, self.rv, self.cv, self.rcv, self.h0, self.h1, self.h3, self.h4)
+        sq, A, p0, p1 = self.sq, self.A, self.p0, self.p1
+        (e0, f0), (e1, f1) = ends
+        below_zero, above_zero = self.sides
+        for c in cs:
+            k1 = rv * c - rcv
+            if not k1:
+                continue
+            x0, x1 = e0 * c + f0, e1 * c + f1
+            if x0 > x1:
+                x0, x1 = x1, x0
+            lo, hi = -(-x0 // den), x1 // den
+            # :meth:`b`, inlined, and for r_v = 0 the circle test's half-line
+            cu = cv - c
+            y0, y1 = 2 * k1 * c + h0, 2 * k1 * cu + h1
+            if k1 > 0:
+                b = (1 - y0, 1 - y1, -c * c, h3 - cu * cu)
+                lower, upper, fixed = above_zero
+            else:
+                b = (1 + y0, 1 + y1, -c * c, h3 - cu * cu)
+                lower, upper, fixed = below_zero
+            if not rv:
+                b += (1 + h4 * (4 * c * cv - h4),)
+            if fixed and any(b[i] > 0 for i in fixed):
+                continue
+            for i, a in lower:
+                x = -(-b[i] // a)
+                if x > lo:
+                    lo = x
+            for i, a in upper:
+                x = -b[i] // a
+                if x < hi:
+                    hi = x
+            if lo > hi:
+                continue
+            if sq is not None:
+                s = math.isqrt(sq * k1 * k1)
+                p = p1 * c + p0
+                if k1 > 0:
+                    x = -((s - p) // A) - 1  # the last D under the gap
+                    if x < hi:
+                        hi = x
+                else:
+                    x = (p + s) // A + 1  # the first D over it
+                    if x > lo:
+                        lo = x
+            lo += (lo - c) % 2
+            if lo <= hi:
+                _row_walls(ctx, sink, r, c, range(lo, hi + 1, 2))
 
 
-def _row_walls(ctx: _WallContext, sink: dict, r: int, c: int, Ds: range) -> None:
+def _row_walls(ctx: _WallContext, sink: set, r: int, c: int, Ds: range) -> None:
     """The full wall predicate on each integer triple ``(r, c, 2d)``, ``2d`` in ``Ds``.
 
     This is the single definition of "is a wall" shared by the derived-bound
     enumeration and the exhaustive scan; the two strategies differ only in
     which rows they feed it.  Every test is on integers and runs on every
-    triple, whatever window it is handed; survivors go into ``sink`` under
-    their pair key, the first one found winning.  A survivor whose pair is
-    already kept is skipped before its circle and members are built, so each
-    wall is built once.
+    triple, whatever window it is handed.  A survivor's pair goes into
+    ``sink`` as its members' integers ``(r, c, 2d)``, ordered by
+    :func:`_orient_pair`, so a pair found from both members is kept once;
+    :func:`_build_walls` builds the walls after the scan.
     """
     rv, cv, Dv = ctx.rv, ctx.cv, ctx.Dv
     k1 = rv * c - r * cv
@@ -522,35 +595,45 @@ def _row_walls(ctx: _WallContext, sink: dict, r: int, c: int, Ds: range) -> None
             slope = 2 * dg * K2 + G1m
             if at_top * at_top > slope * slope * quarter:
                 continue
-        key = _pair_key(ctx, r, c, D)
-        if key in sink:
-            continue  # this pair's wall is already kept
-        circle = Circle(Fraction(K2, m), Fraction(quarter, mm))
-        sub, quotient = _orient_pair(
-            ChernTruncation(r, c, Fraction(D, 2)), ChernTruncation(ru, cu, Fraction(Du, 2))
-        )
-        sink[key] = WallCandidate(circle, sub, quotient)
+        sink.add(_orient_pair((r, c, D), (ru, cu, Du)))
 
 
-def _orient_pair(
-    a: ChernTruncation, b: ChernTruncation
-) -> tuple[ChernTruncation, ChernTruncation]:
-    if (a.r > 0) != (b.r > 0):
-        return (a, b) if a.r > 0 else (b, a)
-    return (a, b) if (a.r, a.c, a.d) <= (b.r, b.c, b.d) else (b, a)
+def _orient_pair(a: tuple, b: tuple) -> tuple:
+    """The pair ``(sub, quotient)`` of two members given as ``(r, c, 2d)``:
+    the member of positive rank first when exactly one has positive rank,
+    otherwise the lexicographically smaller (``2d`` orders as ``d`` does)."""
+    if (a[0] > 0) != (b[0] > 0):
+        return (a, b) if a[0] > 0 else (b, a)
+    return (a, b) if a <= b else (b, a)
 
 
-def _pair_key(ctx: _WallContext, r: int, c: int, D: int):
-    member = (r, c, D)
-    other = (ctx.rv - r, ctx.cv - c, ctx.Dv - D)
-    return (member, other) if member <= other else (other, member)
+def _truncation(member: tuple) -> ChernTruncation:
+    r, c, D = member
+    return ChernTruncation(Fraction(r), Fraction(c), Fraction(D, 2))
 
 
-def _sorted_walls(walls: Iterable[WallCandidate]) -> list[WallCandidate]:
-    return sorted(
-        walls,
-        key=lambda w: (-w.circle.radius_sq, w.sub.r, w.sub.c, w.sub.d),
-    )
+def _build_walls(ctx: _WallContext, pairs: Iterable) -> list[WallCandidate]:
+    """The walls of the kept pairs of :func:`_row_walls`, outermost first.
+
+    Each is built once, after the scan, from the integers of its sub and of
+    the total: the circle is the sub's (the complement's is the same).  The
+    walls are sorted by descending squared radius, then by the sub's
+    ``(r, c, 2d)``; no two kept pairs share both.
+    """
+    rv, cv, Dv = ctx.rv, ctx.cv, ctx.Dv
+    keyed = []
+    for sub, quotient in pairs:
+        r, c, D = sub
+        k1 = rv * c - r * cv
+        K2 = rv * D - r * Dv
+        m = 2 * k1
+        radius_sq = Fraction(K2 * K2 - 4 * k1 * (cv * D - c * Dv), m * m)
+        keyed.append((radius_sq, (-r, -c, -D), sub, quotient, K2, m))
+    keyed.sort(reverse=True)  # descending rho^2, then ascending sub
+    return [
+        WallCandidate(Circle(Fraction(K2, m), radius_sq), _truncation(sub), _truncation(quotient))
+        for radius_sq, _, sub, quotient, K2, m in keyed
+    ]
 
 
 def brute_force_walls(
@@ -561,24 +644,20 @@ def brute_force_walls(
     Applies exactly the same wall predicate as :func:`enumerate_tilt_walls`
     to every lattice triple ``(r, c, 2d)`` with ``|r| <= r_max``,
     ``|c| <= c_max`` and ``|2d| <= two_d_max`` that could be a wall, and
-    reports the deduplicated, sorted walls.  Each row ``(r, c)`` of the box
-    has its window ``|2d| <= two_d_max`` clipped by :meth:`_RankLines.clip`,
-    one clip per rank, the path of the derived scans, and goes to the
-    predicate when the clipped window is not empty: the clip drops only
-    off-lattice points and points that fail one of the predicate's linear
-    tests, so the oracle's walls are those of the whole box.  The oracle
+    reports the deduplicated, sorted walls.  Each rank's rows walk the
+    window ``|2d| <= two_d_max`` through :meth:`_RankLines.walk`, the path
+    of the derived scans: the walker drops only off-lattice points and
+    points that fail one of the predicate's linear tests or its circle
+    test, so the oracle's walls are those of the whole box.  The oracle
     takes none of the derived search's rank, ``c`` or radius bounds.
     """
     ctx = _WallContext(v, region)
-    found: dict = {}
+    found: set = set()
     t = bounds.two_d_max
+    cs = range(-bounds.c_max, bounds.c_max + 1)
     for r in range(-bounds.r_max, bounds.r_max + 1):
-        clip = ctx.lines(r).clip
-        for c in range(-bounds.c_max, bounds.c_max + 1):
-            Ds = clip(c, -t, t)
-            if Ds:
-                _row_walls(ctx, found, r, c, Ds)
-    return _sorted_walls(found.values())
+        ctx.lines(r).walk(ctx, found, cs, ((0, -t), (0, t)), 1)
+    return _build_walls(ctx, found)
 
 
 _SQRT_BITS = 192
@@ -648,7 +727,7 @@ def _vacuity_radius_cap(ctx: _WallContext) -> Fraction:
     return lo
 
 
-def _scan_rank(ctx: _WallContext, sink: dict, r: int, t_hi: Fraction) -> None:
+def _scan_rank(ctx: _WallContext, sink: set, r: int, t_hi: Fraction) -> None:
     """All candidates of member rank ``r`` with squared radius at most ``t_hi``
     (``r != 0`` for a rank-zero total, whose rank-zero members are vertical).
 
@@ -671,10 +750,12 @@ def _scan_rank(ctx: _WallContext, sink: dict, r: int, t_hi: Fraction) -> None:
     The hull window of a row can be far wider than its walls: the middle-rank
     cap ``disc(v) / (2 r_v gap)`` exceeds a hundred for some small classes
     of rank 4 and 5, and their windows then hold tens of millions of
-    triples.  So each window is clipped by the rank's
-    :meth:`_RankLines.clip` to the lattice points that pass the predicate's
-    four tests linear in ``2d``, a few per row, and only a row left with
-    some of them reaches the predicate.
+    triples.  So the rank's rows walk their windows through
+    :meth:`_RankLines.walk`, which keeps the lattice points that pass the
+    predicate's four tests linear in ``2d`` and its circle test, a few per
+    row, and hands only those to the predicate.  The rank-zero rows stop at
+    the torsion bound ``c^2 < disc(v)`` of :func:`_derived_walls`: past it
+    no lattice point passes the two admissibility tests and ``disc(u) >= 0``.
     """
     rv, cv, Dv = ctx.rv, ctx.cv, ctx.Dv
     lo, hi = _center_hull(ctx, t_hi)
@@ -693,12 +774,11 @@ def _scan_rank(ctx: _WallContext, sink: dict, r: int, t_hi: Fraction) -> None:
         b0 = -r * cv * n * n * td
         b1 = b0 + r * cv * q * q * tn
         den = cv * q * q * td
-    clip = ctx.lines(r).clip
-    for c in range(-(-min(rn) // q), (max(rn) + im_hi) // q + 1):
-        x0, x1 = a0 * c + b0, a1 * c + b1
-        Ds = clip(c, -(-min(x0, x1) // den), max(x0, x1) // den)
-        if Ds:
-            _row_walls(ctx, sink, r, c, Ds)
+    stop = (max(rn) + im_hi) // q + 1
+    if not r:
+        stop = min(stop, math.isqrt(ctx.delta - 1) + 1)  # the torsion bound c^2 < disc(v)
+    cs = range(-(-min(rn) // q), stop)
+    ctx.lines(r).walk(ctx, sink, cs, ((a0, b0), (a1, b1)), den)
 
 
 def enumerate_tilt_walls(v: ChernCharacter, region: Region) -> list[WallCandidate]:
@@ -738,24 +818,27 @@ def enumerate_tilt_walls(v: ChernCharacter, region: Region) -> list[WallCandidat
     ctx = _WallContext(v, region)  # a class off the lattice is named as given
     if ctx.rv < 0:
         mirror = Region(-region.beta_max, -region.beta_min, region.alpha_sq_max)
-        return _sorted_walls(map(_mirror_wall, _derived_walls(_WallContext(-v.dual(), mirror))))
-    return _derived_walls(ctx)
+        return _build_walls(ctx, map(_mirror_wall, _derived_walls(_WallContext(-v.dual(), mirror))))
+    return _build_walls(ctx, _derived_walls(ctx))
 
 
-def _mirror_wall(wall: WallCandidate) -> WallCandidate:
-    """``wall`` under the derived dual: ``beta -> -beta``, ``(r, c, d) -> (-r, c, -d)``."""
-    sub, quotient = (ChernTruncation(-m.r, m.c, -m.d) for m in (wall.sub, wall.quotient))
-    circle = Circle(-wall.circle.center, wall.circle.radius_sq)
-    return WallCandidate(circle, *_orient_pair(sub, quotient))
+def _mirror_wall(pair: tuple) -> tuple:
+    """A kept pair under the derived dual, ``(r, c, 2d) -> (-r, c, -2d)``,
+    ordered by :func:`_orient_pair`.  Built with the integers of the
+    caller's class, whose circle is the dual's reflected by ``beta -> -beta``
+    (``K2`` and ``quarter`` are unchanged and ``k1`` changes sign)."""
+    (r, c, D), (ru, cu, Du) = pair
+    return _orient_pair((-r, c, -D), (-ru, cu, -Du))
 
 
-def _derived_walls(ctx: _WallContext) -> list[WallCandidate]:
-    """The derived-bound search of :func:`enumerate_tilt_walls` for ``r_v >= 0``.
+def _derived_walls(ctx: _WallContext) -> set:
+    """The derived-bound search of :func:`enumerate_tilt_walls` for ``r_v >= 0``:
+    the kept pairs of :func:`_row_walls`.
 
     One member per pair: the ranks ``k = 0 .. r_v // 2`` at the middle cap
     ``(disc(v) / (2 g))^2``, ``g = r_v gap``, then the outside ranks ``-e``.
 
-    * *Complements.*  :func:`_pair_key`, the circle and :func:`_orient_pair`
+    * *Complements.*  The predicate, the circle and :func:`_orient_pair`
       are symmetric under ``w <-> v - w``.  Complementary ranks get the same
       cap (``g(k) = g(r_v - k)``, and ``n`` is the same for ``r_v + e`` and
       ``-e``), the same hull and the same admissibility windows, rounded
@@ -778,7 +861,7 @@ def _derived_walls(ctx: _WallContext) -> list[WallCandidate]:
             reason = ("cannot certify termination for this class (no vacuity disc below"
                       " the candidate circles)")
         raise WallSearchError(f"{reason}; pass explicit SearchBounds")
-    found: dict = {}
+    found: set = set()
     for k in range(ctx.rv // 2 + 1) if ctx.rv else ():  # and not r_v - k
         g = min(k * ctx.cv % ctx.rv, -k * ctx.cv % ctx.rv) or ctx.rv  # r_v * gap
         _scan_rank(ctx, found, k, Fraction(ctx.delta, 2 * g) ** 2)
@@ -790,7 +873,7 @@ def _derived_walls(ctx: _WallContext) -> list[WallCandidate]:
             break
         _scan_rank(ctx, found, -excess, cap_sq)  # and not its complement r_v + excess
         excess += 1
-    return _sorted_walls(found.values())
+    return found
 
 
 def wall_to_dict(candidate: WallCandidate) -> dict:

@@ -254,9 +254,21 @@ def test_rank_four_brute_force_walls_match_golden(capsys):
     assert json.loads(out)["count"] == 86
 
 
+def test_rank_zero_brute_force_walls_match_golden(capsys):
+    # A rank-zero class, where the walker's circle test is a fifth half-line
+    # of every row; the golden was printed before that test was added.
+    box = ("--r-max", "5", "--c-max", "20", "--two-d-max", "100")
+    code, out, err = invoke(
+        capsys, "walls", "--v=0,6,-9,7", "--brute-force", *box, "--format", "json"
+    )
+    assert (code, err) == (0, "")
+    assert out.encode("utf-8") == (GOLDEN / "walls_bruteforce_rank0.json").read_bytes()
+    assert json.loads(out)["count"] == 20
+
+
 def test_rank_four_walls_match_golden(capsys):
-    # The hull windows of this class hold 77,165,808 triples; the clipped
-    # windows hold 796.
+    # The hull windows of this class hold 77,165,808 triples; the walked
+    # windows hold 434.
     start = time.perf_counter()
     code, out, err = invoke(capsys, "walls", "--v=4,9,-41/2,44", "--format", "json")
     elapsed = time.perf_counter() - start

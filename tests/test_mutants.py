@@ -1,0 +1,189 @@
+"""Standing mutants of ``p3walls.walls``: each must be caught by the checks
+named beside it.
+
+A mutant is one substring of ``walls.py``, which must occur there exactly
+once, and its replacement.  The mutated source runs as a fresh module of the
+package, so ``p3walls.walls`` itself is untouched.  A check records what a
+module computes on fixed inputs, and catches a mutant whose record differs
+from that of ``p3walls.walls``, which the other test modules hold to the
+Fraction references and the goldens.  A fresh copy of the unmutated source
+must give the same record, so a check that differs on every copy catches
+nothing.
+"""
+
+from __future__ import annotations
+
+import sys
+import types
+from fractions import Fraction
+from pathlib import Path
+
+import pytest
+
+from p3walls import walls as walls_module
+from p3walls.chern import ChernCharacter, curve_ideal_ch
+
+SOURCE = Path(walls_module.__file__).read_text()
+
+V = ChernCharacter(1, 0, -6, 15)
+RANK_ZERO = ChernCharacter(0, 6, -9, 7)
+REGION = walls_module.Region(-12, 0, 64)
+
+#: Derived searches: the headline class, curve classes and a twist with walls
+#: of every member rank, ranks 2 to 4, a negative rank, a rank-zero class and
+#: a refused class.
+DERIVED = [
+    V,
+    *(curve_ideal_ch(d, g) for d, g in [(3, 1), (4, 0), (5, 2), (6, 4), (7, 5)]),
+    ChernCharacter(1, -3, Fraction(-3, 2), Fraction(57, 2)),
+    ChernCharacter(2, -1, Fraction(-5, 2), Fraction(29, 6)),
+    ChernCharacter(3, -2, -1, Fraction(8, 3)),
+    ChernCharacter(4, 9, Fraction(-41, 2), 44),
+    ChernCharacter(-2, -6, -3, 19),
+    RANK_ZERO,
+    ChernCharacter(1, 0, -6, 0),
+]
+
+#: Box scans: the headline class, the rank-zero golden's box and a negative rank.
+ORACLE = [
+    (V, walls_module.SearchBounds(3, 10, 40)),
+    (RANK_ZERO, walls_module.SearchBounds(5, 20, 100)),
+    (ChernCharacter(-2, -6, -3, 19), walls_module.SearchBounds(3, 8, 30)),
+    (ChernCharacter(3, -2, -1, Fraction(8, 3)), walls_module.SearchBounds(3, 8, 30)),
+]
+
+#: Walked rows: ranks -3..3, rows |c| <= 8, a fixed window and one whose ends
+#: have opposite slopes, over classes of rank -2..4 (one of them rank zero).
+WALKED = [V, RANK_ZERO, ChernCharacter(4, 9, Fraction(-41, 2), 44),
+          ChernCharacter(-2, -6, -3, 19), ChernCharacter(2, -1, Fraction(-5, 2), Fraction(29, 6))]
+WINDOWS = [(((0, -40), (0, 40)), 1), (((1, -9), (-2, 17)), 2)]
+
+
+def _load(source: str) -> types.ModuleType:
+    """``source`` run as a module of the package, registered only while it runs."""
+    name = "p3walls._mutant_walls"
+    module = types.ModuleType(name)
+    module.__package__ = "p3walls"
+    sys.modules[name] = module
+    try:
+        exec(compile(source, walls_module.__file__, "exec"), module.__dict__)
+    finally:
+        del sys.modules[name]
+    return module
+
+
+def _listed(call) -> object:
+    """The walls of ``call()`` as JSON mappings, or the refusal's message."""
+    try:
+        return [walls_module.wall_to_dict(w) for w in call()]
+    except RuntimeError as exc:  # WallSearchError of either module
+        return str(exc)
+
+
+def _derived(module) -> list:
+    return [_listed(lambda: module.enumerate_tilt_walls(v, REGION)) for v in DERIVED]
+
+
+def _oracle(module) -> list:
+    return [_listed(lambda: module.brute_force_walls(v, REGION, box)) for v, box in ORACLE]
+
+
+def _walked(module) -> list:
+    """Every row each walker hands the predicate, as ``(r, c, 2d...)``."""
+    rows: list = []
+    row_walls = module._row_walls
+    module._row_walls = lambda ctx, sink, r, c, Ds: rows.append((r, c, *Ds))
+    try:
+        for v in WALKED:
+            ctx = module._WallContext(v, REGION)
+            for r in range(-3, 4):
+                for ends, den in WINDOWS:
+                    ctx.lines(r).walk(ctx, set(), range(-8, 9), ends, den)
+    finally:
+        module._row_walls = row_walls
+    return rows
+
+
+def _scanned(module) -> list:
+    """Every call the derived scans make to a walker: rank, rows and window."""
+    calls: list = []
+    walk = module._RankLines.walk
+
+    def record(self, ctx, sink, cs, ends, den):
+        calls.append((self.r, cs, ends, den))
+        walk(self, ctx, sink, cs, ends, den)
+
+    module._RankLines.walk = record
+    try:
+        _derived(module)
+    finally:
+        module._RankLines.walk = walk
+    return calls
+
+
+CHECKS = {
+    "derived walls": _derived,
+    "oracle walls": _oracle,
+    "walked rows": _walked,
+    "scanned windows": _scanned,
+}
+EXPECTED = {name: check(walls_module) for name, check in CHECKS.items()}
+
+#: ``(name, substring of walls.py, replacement, checks that must fail)``.
+MUTANTS = [
+    # the circle test of the row walker
+    ("gap root rounded outward",
+     "s = math.isqrt(sq * k1 * k1)", "s = math.isqrt(sq * k1 * k1) + 1",
+     ["walked rows", "derived walls"]),
+    ("gap ends swapped",
+     "x = -((s - p) // A) - 1  # the last D under the gap",
+     "x = (p + s) // A  # the last D under the gap",
+     ["walked rows"]),
+    ("rank-zero half-line sign flipped",
+     "circle = () if rv else (4 * r * cv * cv,)", "circle = () if rv else (-4 * r * cv * cv,)",
+     ["walked rows", "oracle walls", "derived walls"]),
+    ("torsion cap one row short",
+     "stop = min(stop, math.isqrt(ctx.delta - 1) + 1)", "stop = min(stop, math.isqrt(ctx.delta - 1))",
+     ["scanned windows"]),
+    # the linear tests, clipped once per rank
+    ("sides swapped at k1 < 0",
+     "lower, upper, fixed = below_zero", "lower, upper, fixed = above_zero",
+     ["walked rows", "derived walls"]),
+    ("disc(w) half-line dropped at k1 > 0",
+     "b = (1 - y0, 1 - y1, -c * c, h3 - cu * cu)", "b = (1 - y0, 1 - y1, -10**9, h3 - cu * cu)",
+     ["walked rows"]),
+    ("disc(u) half-line dropped at k1 < 0",
+     "b = (1 + y0, 1 + y1, -c * c, h3 - cu * cu)", "b = (1 + y0, 1 + y1, -c * c, -10**9)",
+     ["walked rows"]),
+    ("ceiling turned into a floor",
+     "x = -(-b[i] // a)", "x = b[i] // a",
+     ["walked rows"]),
+    ("scan window shifted by one",
+     "(2 * n * rv, r * (Dv * q - 2 * n * cv))", "(2 * n * rv, r * (Dv * q - 2 * n * cv) + rv * q)",
+     ["scanned windows", "derived walls"]),
+    # one member per destabilizing pair
+    ("middle ranks stop one short",
+     "for k in range(ctx.rv // 2 + 1) if ctx.rv else ():",
+     "for k in range(ctx.rv // 2) if ctx.rv else ():",
+     ["scanned windows", "derived walls"]),
+    ("middle ranks skip rank zero",
+     "for k in range(ctx.rv // 2 + 1) if ctx.rv else ():",
+     "for k in range(1, ctx.rv // 2 + 1) if ctx.rv else ():",
+     ["scanned windows", "derived walls"]),
+    ("outside ranks shifted",
+     "_scan_rank(ctx, found, -excess, cap_sq)", "_scan_rank(ctx, found, -excess - 1, cap_sq)",
+     ["scanned windows", "derived walls"]),
+]
+
+
+@pytest.mark.parametrize("name", CHECKS)
+def test_check_passes_on_the_unmutated_source(name):
+    assert CHECKS[name](_load(SOURCE)) == EXPECTED[name]
+
+
+@pytest.mark.parametrize("old, new, checks", [m[1:] for m in MUTANTS], ids=[m[0] for m in MUTANTS])
+def test_mutant_is_caught(old, new, checks):
+    assert SOURCE.count(old) == 1, old
+    mutant = _load(SOURCE.replace(old, new))
+    for name in checks:
+        assert CHECKS[name](mutant) != EXPECTED[name], f"{name} missed the mutant"

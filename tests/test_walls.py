@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import functools
 import json
 import math
 import re
@@ -318,7 +319,7 @@ def test_unbounded_search_raises():
 
 #: Ranks 4 and 5 whose middle-rank caps lie far above their walls: the hull
 #: windows of the derived search hold tens of millions of triples, the
-#: clipped windows a few hundred.  The oracle box (5, 20, 100) holds a member
+#: walked windows a few hundred.  The oracle box (5, 20, 100) holds a member
 #: of each of their 86, 85, 131 and 0 walls over REGION.
 HIGH_RANK_TOTALS = [
     ChernCharacter(4, 9, Fraction(-41, 2), 44),
@@ -356,7 +357,9 @@ LATTICE_BOXES = [
     (V, SearchBounds(3, 4, 10)),
     (ChernCharacter(-2, -6, -3, 19), SearchBounds(1, 3, 0)),
     (ChernCharacter(0, 6, -9, 7), SearchBounds(0, 6, 1)),
+    (ChernCharacter(0, 6, -9, 7), SearchBounds(2, 6, 30)),
     (HIGH_RANK_TOTALS[0], SearchBounds(4, 9, 24)),
+    (ChernCharacter(1, 0, 1, 0), SearchBounds(2, 4, 9)),  # disc(v) = -2
 ]
 
 
@@ -369,20 +372,22 @@ def _box_rows(bounds: SearchBounds) -> list:
 
 def _whole_row_walls(total: ChernCharacter, region: Region, bounds: SearchBounds) -> list:
     """The box's walls from whole step-1 rows, no clip: the predicate itself
-    rejects each off-lattice triple and each triple failing a linear test."""
-    ctx, whole = walls_module._WallContext(total, region), {}
+    rejects each off-lattice triple and each triple failing a linear test or
+    the circle test."""
+    ctx, whole = walls_module._WallContext(total, region), set()
     Ds = range(-bounds.two_d_max, bounds.two_d_max + 1)
     for r, c in _box_rows(bounds):
         walls_module._row_walls(ctx, whole, r, c, Ds)
-    return walls_module._sorted_walls(whole.values())
+    return walls_module._build_walls(ctx, whole)
 
 
 @pytest.mark.parametrize("total, bounds", LATTICE_BOXES, ids=str)
 def test_oracle_visits_only_the_lattice(total, bounds):
     # Every row of the box whose window |2d| <= two_d_max holds a lattice
-    # point that passes the linear tests (the Fraction reference clip)
-    # reaches the predicate once, in box order, with exactly those points;
-    # every other row of the box is skipped, its reference clip empty.
+    # point that passes the linear tests and the circle test (the Fraction
+    # reference clip) reaches the predicate once, in box order, with exactly
+    # those points as one step-2 range; every other row of the box is
+    # skipped, its reference clip empty.
     rows: list = []
     row_walls = walls_module._row_walls
 
@@ -395,10 +400,18 @@ def test_oracle_visits_only_the_lattice(total, bounds):
         walls = brute_force_walls(total, REGION, bounds)
     ctx, t = walls_module._WallContext(total, REGION), bounds.two_d_max
     reference = [(r, c, _reference_clip(ctx, r, c, range(-t, t + 1))) for r, c in _box_rows(bounds)]
-    assert [(r, c, list(Ds)) for r, c, Ds in rows] == [row for row in reference if row[2]]
-    assert all(Ds.step == 2 for _, _, Ds in rows)
+    assert _joined_rows(rows) == [row for row in reference if row[2]]
+    assert all(Ds and Ds.step == 2 for _, _, Ds in rows)
     assert len(rows) < len(reference)
     assert walls == _whole_row_walls(total, REGION, bounds)
+
+
+def _joined_rows(pieces: list) -> list:
+    """``(r, c, Ds)`` as handed to the predicate, as ``(r, c, [2d, ...])``;
+    asserts that no row is handed over twice: the circle test's gap cuts a
+    window from one side only."""
+    assert len({(r, c) for r, c, _ in pieces}) == len(pieces)
+    return [(r, c, list(Ds)) for r, c, Ds in pieces]
 
 
 def _count_built(monkeypatch) -> list:
@@ -494,24 +507,34 @@ def _reference_candidate(
     if not _reference_reaches_nonnegative(total, circle):
         return None
     u_tr = ChernTruncation(ru, cu, Fraction(Du, 2))
-    sub, quotient = walls_module._orient_pair(w_tr, u_tr)
-    return walls_module.WallCandidate(circle, sub, quotient)
+    return walls_module.WallCandidate(circle, *_reference_orient(w_tr, u_tr))
+
+
+def _reference_orient(a: ChernTruncation, b: ChernTruncation) -> tuple:
+    """The documented ``(sub, quotient)`` of :class:`walls.WallCandidate`, on
+    truncations: the member of positive rank when exactly one has it,
+    otherwise the lexicographically smaller."""
+    if (a.r > 0) != (b.r > 0):
+        return (a, b) if a.r > 0 else (b, a)
+    return (a, b) if (a.r, a.c, a.d) <= (b.r, b.c, b.d) else (b, a)
 
 
 def _assert_row_matches(
     total: ChernCharacter, region: Region, ctx: walls_module._WallContext, r: int, c: int, Ds: range
 ) -> int:
-    """Assert that one row keeps exactly the reference's walls; return how many.
+    """Assert that one row keeps exactly the reference's walls, built from
+    the row's integer sink; return how many.
 
-    Two triples of one row never share a pair key (that would force
-    2r = r_v and 2c = c_v, so k1 = 0), so the row's sink holds every
-    survivor, in the order of its D range.
+    Two triples of one row never share a pair (that would force 2r = r_v
+    and 2c = c_v, so k1 = 0), so the row's sink holds every survivor.
     """
-    sink: dict = {}
+    sink: set = set()
     walls_module._row_walls(ctx, sink, r, c, Ds)
     expected = [_reference_candidate(total, region, r, c, D) for D in Ds]
     expected = [w for w in expected if w is not None]
-    assert list(sink.values()) == expected, (r, c, region)
+    expected.sort(key=lambda w: (-w.circle.radius_sq, w.sub.r, w.sub.c, w.sub.d))
+    assert walls_module._build_walls(ctx, sink) == expected, (r, c, region)
+    assert len(sink) == len(expected)
     return len(expected)
 
 
@@ -886,9 +909,9 @@ def test_box_restriction_of_smart_search_matches_brute_force(total):
 def test_oracle_equivalence_on_random_classes(total):
     # Refusals are checked against the certificate; every other class must
     # equal the oracle over a box strictly containing every scanned row: the
-    # hull windows handed to the per-rank clip, or, when their box holds over
-    # 10^7 triples (some classes of rank 4 and 5 reach 2 * 10^8), the clipped
-    # windows the predicate is handed.
+    # hull windows handed to the per-rank walker, or, when their box holds
+    # over 10^7 triples (some classes of rank 4 and 5 reach 2 * 10^8), the
+    # walked windows the predicate is handed.
     region = Region(-6, 0, 16)
     expect_refusal = _certificate_refuses(total, region)
     hull: list = []
@@ -900,7 +923,7 @@ def test_oracle_equivalence_on_random_classes(total):
         row_walls(ctx, sink, r, c, Ds)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(walls_module, "_RankLines", _recording_rank_lines(hull, clip=True))
+        mp.setattr(walls_module, "_RankLines", _recording_rank_lines(hull, walk=True))
         mp.setattr(walls_module, "_row_walls", record)
         try:
             smart = enumerate_tilt_walls(total, region)
@@ -1052,9 +1075,10 @@ def test_center_hull_contains_every_oracle_wall(total):
 
 
 def _reference_scan_rank(
-    ctx: walls_module._WallContext, sink: dict, r: int, t_hi: Fraction
+    ctx: walls_module._WallContext, sink: set, r: int, t_hi: Fraction, torsion_cap: bool = True
 ) -> None:
-    """The rank scan as it stood with Fraction windows."""
+    """The rank scan with Fraction windows; with ``torsion_cap``, the rows
+    of rank zero stop at the torsion bound ``c^2 < disc(v)``."""
     rv = ctx.rv
     if rv == 0:
         return _reference_scan_rank_zero_total(ctx, sink, r, t_hi)
@@ -1062,6 +1086,8 @@ def _reference_scan_rank(
     im_hi = max(ctx.cv - rv * C for C in window)
     ends = (window[0] * r, window[1] * r)
     for c in range(math.ceil(min(ends)), math.floor(max(ends) + im_hi) + 1):
+        if torsion_cap and r == 0 and c * c >= ctx.delta:
+            break
         k1 = rv * c - r * ctx.cv
         d_ends = [(C * k1 + r * Fraction(ctx.Dv, 2)) / rv for C in window]
         Ds = range(math.ceil(2 * min(d_ends)), math.floor(2 * max(d_ends)) + 1)
@@ -1069,7 +1095,7 @@ def _reference_scan_rank(
 
 
 def _reference_scan_rank_zero_total(
-    ctx: walls_module._WallContext, sink: dict, r: int, t_hi: Fraction
+    ctx: walls_module._WallContext, sink: set, r: int, t_hi: Fraction
 ) -> None:
     """One rank of a rank-zero total's scan on Fractions.
 
@@ -1088,21 +1114,22 @@ def _reference_scan_rank_zero_total(
         walls_module._row_walls(ctx, sink, r, c, Ds)
 
 
-def _recording_rank_lines(hull: list, clip: bool) -> type:
-    """A :class:`walls._RankLines` whose clip first appends the hull window
-    it is handed to ``hull`` as ``(r, c, range(lo, hi + 1))``, empty or not,
-    and then clips it, or, with ``clip=False``, hands the predicate nothing."""
+def _recording_rank_lines(hull: list, walk: bool) -> type:
+    """A :class:`walls._RankLines` whose walker first appends the window of
+    each row it is handed to ``hull`` as ``(r, c, range(lo, hi + 1))``,
+    empty or not, and then walks the rows, or, with ``walk=False``, hands
+    the predicate nothing."""
 
     class Recording(walls_module._RankLines):
-        __slots__ = ("r",)
+        __slots__ = ()
 
-        def __init__(self, ctx, r):
-            super().__init__(ctx, r)
-            self.r = r
-
-        def clip(self, c, lo, hi):
-            hull.append((self.r, c, range(lo, hi + 1)))
-            return super().clip(c, lo, hi) if clip else range(0)
+        def walk(self, ctx, sink, cs, ends, den):
+            (e0, f0), (e1, f1) = ends
+            for c in cs:
+                x0, x1 = e0 * c + f0, e1 * c + f1
+                hull.append((self.r, c, range(-(-min(x0, x1) // den), max(x0, x1) // den + 1)))
+            if walk:
+                super().walk(ctx, sink, cs, ends, den)
 
     return Recording
 
@@ -1111,9 +1138,9 @@ def _scanned_rows(total: ChernCharacter, reference: bool) -> list:
     """Every ``(r, c, start, stop)`` of the hull windows the derived search
     computes, in order, ending in ``"refused"`` when the class is refused.
 
-    The scans hand every hull window, empty or not, to the per-rank clip,
-    which records it and hands the predicate nothing (the clip has its own
-    tests); the Fraction reference scans hand every hull window to the
+    The scans hand every hull window, empty or not, to the per-rank walker,
+    which records it and hands the predicate nothing (the walker has its
+    own tests); the Fraction reference scans hand every hull window to the
     predicate, which records it.  The recorders keep no walls, which the
     scans never read back.
     """
@@ -1124,7 +1151,7 @@ def _scanned_rows(total: ChernCharacter, reference: bool) -> list:
             mp.setattr(walls_module, "_scan_rank", _reference_scan_rank)
             mp.setattr(walls_module, "_row_walls", lambda ctx, sink, r, c, Ds: hull.append((r, c, Ds)))
         else:
-            mp.setattr(walls_module, "_RankLines", _recording_rank_lines(hull, clip=False))
+            mp.setattr(walls_module, "_RankLines", _recording_rank_lines(hull, walk=False))
         try:
             enumerate_tilt_walls(total, REGION)
         except WallSearchError:
@@ -1186,6 +1213,63 @@ def test_scan_windows_match_fraction_reference_on_curve_classes(n):
         for genus in range(20):
             rows += _assert_windows_match_reference(curve_ideal_ch(degree, genus).twist(n))
     assert rows > 0
+
+
+def _reference_hull_rows(total: ChernCharacter, torsion_cap: bool) -> list:
+    """Every ``(ctx, r, c, Ds)`` hull window of the Fraction reference scans
+    over REGION, in order, with or without the torsion cap on rank zero."""
+    rows: list = []
+    scan = functools.partial(_reference_scan_rank, torsion_cap=torsion_cap)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(walls_module, "_scan_rank", scan)
+        mp.setattr(walls_module, "_row_walls", lambda ctx, sink, r, c, Ds: rows.append((ctx, r, c, Ds)))
+        try:
+            enumerate_tilt_walls(total, REGION)
+        except WallSearchError:
+            pass
+    return rows
+
+
+@pytest.mark.parametrize("n", [-3, 0, 2])
+def test_torsion_cap_drops_only_empty_rows(n):
+    # The derived scan stops the rank-zero rows at c^2 < disc(v), as the
+    # capped reference does (the window tests above).  Every row the cap
+    # drops from the uncapped reference holds no lattice point that passes
+    # the admissibility and discriminant tests, even without the circle test.
+    dropped = 0
+    for degree in range(1, 12):
+        for genus in range(20):
+            total = curve_ideal_ch(degree, genus).twist(n)
+            capped = _reference_hull_rows(total, torsion_cap=True)
+            uncapped = _reference_hull_rows(total, torsion_cap=False)
+            past = [row for row in uncapped if row[1] == 0 and row[2] ** 2 >= row[0].delta]
+            rows = [row[1:] for row in uncapped if row not in past]
+            assert [row[1:] for row in capped] == rows, total
+            for ctx, r, c, Ds in past:
+                assert _reference_clip(ctx, r, c, Ds, circle=False) == [], (total, c)
+            dropped += len(past)
+    assert dropped > 0
+
+
+@pytest.mark.parametrize("total", REFUSED_TOTALS, ids=str)
+def test_refused_class_builds_no_search_state(total, monkeypatch):
+    # The region's integers and the slope mu are built when a scan or the
+    # certificate first reads them, so a class refused for want of a
+    # positivity disc builds neither; a certified search builds both.
+    contexts: list = []
+
+    class Recording(walls_module._WallContext):
+        def __init__(self, *args):
+            super().__init__(*args)
+            contexts.append(self)
+
+    monkeypatch.setattr(walls_module, "_WallContext", Recording)
+    with pytest.raises(WallSearchError):
+        enumerate_tilt_walls(total, REGION)
+    assert contexts and not any({"region_ints", "mu"} & set(vars(ctx)) for ctx in contexts)
+    contexts.clear()
+    assert enumerate_tilt_walls(V, REGION)
+    assert {"region_ints", "mu"} <= set(vars(contexts[0]))
 
 
 def _reference_rank_sequence(total: ChernCharacter) -> list:
@@ -1253,7 +1337,7 @@ def test_rank_sequence_matches_fraction_reference(n):
     assert any(ranks and ranks[-1] != "refused" for ranks in sequences)
 
 
-def _complementary_scans(total: ChernCharacter) -> tuple[dict, dict]:
+def _complementary_scans(total: ChernCharacter) -> tuple[set, set]:
     """The derived search's sink, and a second sink holding what the ranks it
     skips find: each scanned rank ``r`` scanned again as its complement
     ``r_v - r`` (``r_v - k`` and ``r_v + e``), at the same cap."""
@@ -1269,9 +1353,9 @@ def _complementary_scans(total: ChernCharacter) -> tuple[dict, dict]:
         try:
             enumerate_tilt_walls(total, REGION)
         except WallSearchError:
-            return {}, {}
-    found = calls[0][1] if calls else {}
-    skipped: dict = {}
+            return set(), set()
+    found = calls[0][1] if calls else set()
+    skipped: set = set()
     for ctx, _, r, t_hi in calls:
         scan_rank(ctx, skipped, ctx.rv - r, t_hi)
     return found, skipped
@@ -1279,9 +1363,10 @@ def _complementary_scans(total: ChernCharacter) -> tuple[dict, dict]:
 
 @pytest.mark.parametrize("n", ["differential", "signed", "high-rank", -3, 0, 2])
 def test_complementary_ranks_add_no_wall(n):
-    # Metamorphic: the pair key, the circle and the orientation are symmetric
-    # under w <-> v - w, and complementary ranks share their cap, so the
-    # ranks the search skips find only walls it already holds, built alike.
+    # Metamorphic: the predicate, the circle and the orientation are
+    # symmetric under w <-> v - w, and complementary ranks share their cap,
+    # so the ranks the search skips find only pairs it already holds,
+    # oriented alike.
     totals = {"differential": DIFFERENTIAL_TOTALS, "signed": SIGNED_TOTALS,
               "high-rank": HIGH_RANK_TOTALS}.get(n)
     if totals is None:
@@ -1289,15 +1374,18 @@ def test_complementary_ranks_add_no_wall(n):
     refound = 0
     for total in totals:
         found, skipped = _complementary_scans(total)
-        assert all(found.get(key) == wall for key, wall in skipped.items()), total
+        assert skipped <= found, total
         refound += len(skipped)
     assert refound > 0
 
 
-def _reference_clip(ctx: walls_module._WallContext, r: int, c: int, Ds: range) -> list:
-    """The clip on Fractions, one ``2d`` at a time: the lattice points of
+def _reference_clip(
+    ctx: walls_module._WallContext, r: int, c: int, Ds: range, circle: bool = True
+) -> list:
+    """The walker on Fractions, one ``2d`` at a time: the lattice points of
     ``Ds`` whose pair is admissible at the top ``beta = k2 / k1`` of its
-    circle and whose members both have nonnegative discriminant."""
+    circle, whose members both have nonnegative discriminant and, with
+    ``circle``, whose locus :func:`tilt_wall_locus` is a :class:`Circle`."""
     v = ChernTruncation(ctx.rv, ctx.cv, Fraction(ctx.Dv, 2))
     k1 = v.r * c - r * v.c
     if k1 == 0:
@@ -1311,25 +1399,36 @@ def _reference_clip(ctx: walls_module._WallContext, r: int, c: int, Ds: range) -
         beta = (v.r * w.d - r * v.d) / k1
         if not 0 < w.twist(beta).c < v.twist(beta).c:
             continue
-        if w.discriminant() >= 0 and u.discriminant() >= 0:
+        if w.discriminant() < 0 or u.discriminant() < 0:
+            continue
+        if not circle or isinstance(tilt_wall_locus(v, w), Circle):
             kept.append(D)
     return kept
 
 
-def _assert_clip_matches_reference(
-    ctx: walls_module._WallContext, r: int, c: int, Ds: range
-) -> set:
-    """Assert that the per-rank clip keeps exactly the reference's ``2d`` and
-    loses no wall of the full window; return the kinds of row this was."""
-    lines = ctx.lines(r)
-    clipped = lines.clip(c, Ds.start, Ds.stop - 1)
-    assert list(clipped) == _reference_clip(ctx, r, c, Ds), (r, c, Ds)
-    full: dict = {}
-    walls_module._row_walls(ctx, full, r, c, Ds)
-    cut: dict = {}
-    walls_module._row_walls(ctx, cut, r, c, clipped)
-    assert cut == full, (r, c, Ds)
-    n = len(clipped)
+def _walked(ctx: walls_module._WallContext, r: int, cs: range, ends: tuple, den: int) -> list:
+    """Every ``(r, c, Ds)`` the walker of rank ``r`` hands the predicate on
+    the rows ``cs``, in order; the recorder keeps no walls."""
+    pieces: list = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(walls_module, "_row_walls", lambda ctx, sink, r, c, Ds: pieces.append((r, c, Ds)))
+        ctx.lines(r).walk(ctx, set(), cs, ends, den)
+    assert all(Ds and Ds.step == 2 for _, _, Ds in pieces)
+    return pieces
+
+
+def _window(c: int, ends: tuple, den: int) -> range:
+    """The window the walker reads for row ``c`` from ``ends`` over ``den``."""
+    (e0, f0), (e1, f1) = ends
+    x0, x1 = e0 * c + f0, e1 * c + f1
+    return range(-(-min(x0, x1) // den), max(x0, x1) // den + 1)
+
+
+def _row_kinds(ctx: walls_module._WallContext, r: int, c: int, Ds: range) -> set:
+    """The kinds of a walked row, for the coverage asserts: how many ``2d``
+    it keeps, whether a constant test fails, and what the circle test did."""
+    lines, kept = ctx.lines(r), _reference_clip(ctx, r, c, Ds)
+    n = len(kept)
     kinds = {"empty" if n == 0 else "single" if n == 1 else "odd" if n % 2 else "even"}
     if r == 0:
         kinds.add("r = 0")
@@ -1339,14 +1438,44 @@ def _assert_clip_matches_reference(
     k1 = ctx.rv * c - r * ctx.cv
     if k1 and any(a == 0 and b > 0 for a, b in zip(lines.a[k1 > 0], lines.b(c, k1))):
         kinds.add("constant fails")
+    linear = _reference_clip(ctx, r, c, Ds, circle=False)
+    if linear != kept:
+        kinds.add("gap cuts the window" if ctx.rv else "rank-zero half-line cuts")
+    if linear and not kept:
+        kinds.add("gap covers the window")
+    if ctx.rv and ctx.delta < 0 and Ds:
+        kinds.add("negative root discriminant")
     return kinds
+
+
+def _assert_clip_matches_reference(
+    ctx: walls_module._WallContext, r: int, c: int, Ds: range
+) -> set:
+    """Assert that the walker keeps exactly the reference's ``2d`` of the
+    step-1 window ``Ds`` on the row ``c`` and loses no wall of the full
+    window; return the kinds of row this was.  The window is handed as the
+    ends ``2 lo - 1`` and ``2 hi + 1`` over ``den = 2``, so an empty ``Ds``
+    is an empty window."""
+    lo = Ds.start
+    hi = max(Ds.stop - 1, lo - 1)
+    pieces = _walked(ctx, r, range(c, c + 1), ((0, 2 * lo - 1), (0, 2 * hi + 1)), 2)
+    rows = _joined_rows(pieces)
+    assert (rows[0][2] if rows else []) == _reference_clip(ctx, r, c, Ds), (r, c, Ds)
+    full: set = set()
+    walls_module._row_walls(ctx, full, r, c, Ds)
+    cut: set = set()
+    for _, _, piece in pieces:
+        walls_module._row_walls(ctx, cut, r, c, piece)
+    assert cut == full, (r, c, Ds)
+    return _row_kinds(ctx, r, c, Ds)
 
 
 @pytest.mark.parametrize("totals", [DIFFERENTIAL_TOTALS, SIGNED_TOTALS],
                          ids=["differential", "signed"])
 def test_clip_matches_fraction_reference_on_scanned_rows(totals):
     # Every hull window the derived search computes for these classes, on the
-    # class it runs on.
+    # class it runs on.  These windows hold circles of squared radius
+    # between 0 and the rank's cap, so the circle test cuts none of them.
     kinds: set = set()
     for total in totals:
         ctx = walls_module._WallContext(*_canonical(total, REGION))
@@ -1358,9 +1487,10 @@ def test_clip_matches_fraction_reference_on_scanned_rows(totals):
 
 
 def test_clip_matches_fraction_reference_on_oracle_rows():
-    # Every row of LATTICE_BOXES as the oracle clips it: rows of negative c,
+    # Every row of LATTICE_BOXES as the oracle walks it: rows of negative c,
     # ranks outside [0, r_v] and classes of rank r_v <= 0, which no derived
-    # scan clips.
+    # scan walks, and a class of negative discriminant, whose rows have no
+    # gap.
     kinds: set = set()
     for total, bounds in LATTICE_BOXES:
         ctx, t = walls_module._WallContext(total, REGION), bounds.two_d_max
@@ -1372,7 +1502,9 @@ def test_clip_matches_fraction_reference_on_oracle_rows():
             if "empty" not in row_kinds and not min(0, ctx.rv) <= r <= max(0, ctx.rv):
                 kinds.add("kept outside [0, r_v]")
     assert {"empty", "single", "odd", "even", "r = 0", "r = r_v", "constant fails",
-            "kept with c < 0", "kept outside [0, r_v]"} <= kinds
+            "kept with c < 0", "kept outside [0, r_v]", "gap cuts the window",
+            "gap covers the window", "rank-zero half-line cuts",
+            "negative root discriminant"} <= kinds
 
 
 #: Rows of V where a zero coefficient leaves a constant test: ``r = 0`` with
@@ -1392,6 +1524,8 @@ def test_clip_matches_fraction_reference_on_zero_coefficients(r, c):
     st.integers(-80, 80),
     st.integers(-1, 60),
 )
+@example(ChernCharacter(1, 0, 1, 0), 0, 1, -20, 41)  # disc(v) = -2: no gap
+@example(ChernCharacter(0, 6, -9, 7), 1, 1, -40, 80)  # rank zero: a half-line
 @settings(max_examples=300, deadline=None)
 def test_clip_matches_fraction_reference_on_random_rows(total, r, c, start, length):
     ctx = walls_module._WallContext(total, REGION)
@@ -1412,20 +1546,21 @@ RANK_CLIP_TOTALS = [
 def _assert_rank_clip_matches_reference(
     ctx: walls_module._WallContext, r: int, cs: range, windows: list
 ) -> set:
-    """Assert that one clip of rank ``r`` equals the Fraction reference on the
-    rows ``cs``, for each window ``(lo, hi)`` given as offsets from ``c``;
+    """Assert that one walk of rank ``r`` over the rows ``cs`` equals the
+    Fraction reference on every row, for each window ``(ends, den)``;
     return the kinds of row seen."""
-    lines, kinds = ctx.lines(r), set()
-    for c in cs:
-        k1 = ctx.rv * c - r * ctx.cv
-        sign = "k1 > 0" if k1 > 0 else "k1 < 0" if k1 < 0 else "k1 = 0"
-        for dlo, dhi in windows:
-            lo, hi = c + dlo, c + dhi
-            kept = lines.clip(c, lo, hi)
-            assert list(kept) == _reference_clip(ctx, r, c, range(lo, hi + 1)), (r, c, lo, hi)
+    kinds = set()
+    for ends, den in windows:
+        walked = {c: kept for _, c, kept in _joined_rows(_walked(ctx, r, cs, ends, den))}
+        for c in cs:
+            k1 = ctx.rv * c - r * ctx.cv
+            sign = "k1 > 0" if k1 > 0 else "k1 < 0" if k1 < 0 else "k1 = 0"
+            window = _window(c, ends, den)
+            kept = walked.get(c, [])
+            assert kept == _reference_clip(ctx, r, c, window), (r, c, window)
             kinds |= {sign, f"kept with {sign}" if kept else "empty"}
-            if lo > hi:
-                kinds.add("lo > hi")
+            if not window:
+                kinds.add("empty window")
     if r == 0:
         kinds.add("r = 0")
     if r == ctx.rv:
@@ -1434,19 +1569,21 @@ def _assert_rank_clip_matches_reference(
 
 
 def test_rank_clip_matches_fraction_reference():
-    # One clip per rank serves every row of that rank: its sides are sorted
+    # One walk per rank serves every row of that rank: its sides are sorted
     # once for each sign of k1, and each row brings only its b's.  Windows
-    # wide, narrow and already empty (lo > hi).  Every member rank meets rows
-    # of both signs of k1 and of k1 = 0 and keeps some 2d; ranks -3..4 keep
-    # 2d on both sides of k1 = 0.
-    windows = [(-24, 24), (-3, 6), (5, -5)]
+    # wide and narrow around c, one whose ends have opposite slopes, and one
+    # over den = 3 that is empty on every third row.  Every member rank meets
+    # rows of both signs of k1 and of k1 = 0 and keeps some 2d; ranks -3..4
+    # keep 2d on both sides of k1 = 0.
+    windows = [(((1, -24), (1, 24)), 1), (((1, -3), (1, 6)), 1),
+               (((2, -7), (-1, 9)), 2), (((1, 0), (1, 1)), 3)]
     contexts = [walls_module._WallContext(total, REGION) for total in RANK_CLIP_TOTALS]
     seen: set = set()
     for r in range(-5, 6):
         kinds: set = set()
         for ctx in contexts:
             kinds |= _assert_rank_clip_matches_reference(ctx, r, range(-5, 6), windows)
-        assert {"k1 > 0", "k1 < 0", "k1 = 0", "empty", "lo > hi"} <= kinds, r
+        assert {"k1 > 0", "k1 < 0", "k1 = 0", "empty", "empty window"} <= kinds, r
         kept = {"kept with k1 > 0", "kept with k1 < 0"} & kinds
         assert len(kept) == (2 if -3 <= r <= 4 else 1), r
         seen |= kinds
@@ -1461,15 +1598,17 @@ def test_rank_clip_matches_fraction_reference():
     st.integers(-12, 12),
     st.integers(-40, 40),
     st.integers(-40, 40),
+    st.integers(1, 3),
 )
 @settings(max_examples=200, deadline=None)
-def test_rank_clip_matches_fraction_reference_on_random_rows(rv, cv, k, r, c0, lo, hi):
-    # Eight rows share one clip, each with the window (lo, hi) shifted by its
-    # offset from c0; lo and hi are drawn independently, so about half of the
-    # windows are empty (lo > hi) before the clip.
+def test_rank_clip_matches_fraction_reference_on_random_rows(rv, cv, k, r, c0, lo, hi, den):
+    # Eight rows share one walk, each with the window between c + lo - c0
+    # and c + hi - c0 over den; lo and hi are drawn independently, so either
+    # end may be the lower one.
     ctx = walls_module._WallContext(ChernCharacter(rv, cv, Fraction(cv, 2) + k, 0), REGION)
     r = rv if r == "r = r_v" else r
-    _assert_rank_clip_matches_reference(ctx, r, range(c0, c0 + 8), [(lo - c0, hi - c0)])
+    ends = ((1, lo - c0), (1, hi - c0))
+    _assert_rank_clip_matches_reference(ctx, r, range(c0, c0 + 8), [(ends, den)])
 
 
 def _triples_handed_to_the_predicate(total: ChernCharacter) -> tuple[int, int]:
