@@ -133,9 +133,7 @@ class ChernCharacter(ChernTruncation):
     e: Fraction
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "r", _rat(self.r))
-        object.__setattr__(self, "c", _rat(self.c))
-        object.__setattr__(self, "d", _rat(self.d))
+        super().__post_init__()
         object.__setattr__(self, "e", _rat(self.e))
 
     def _parts(self) -> tuple[Fraction, ...]:

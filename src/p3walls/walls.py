@@ -44,17 +44,15 @@ is what makes a finite, certified enumeration possible; see
 
 Both searches decide the predicate one row ``(r, c)`` at a time, computing
 what depends only on the row once (:func:`_row_walls`), and both walk each
-member rank's rows once (:meth:`_RankLines.walk`), clipping each row's
-window to the lattice points that pass five of the predicate's tests: the
-four linear in ``2d`` and the circle test.  The tests are set up once per
-member rank (:class:`_RankLines`): the linear tests' coefficients of ``2d``
-depend on the row only through the sign of ``k1``, and the circle test
-fails on one interval of ``2d`` that admissibility keeps to one side of
-the window, so a row costs its right-hand sides, at most five divisions
-and one integer square root, and a row whose clipped window is empty never
-reaches the predicate.  The searches differ only in which rows they walk:
-the derived search visits each unordered pair ``{w, v - w}`` from one
-member.
+member rank's rows once (:func:`_walk_rank`), clipping each row's window to
+the lattice points that pass five of the predicate's tests: the four linear
+in ``2d`` and the circle test.  The walker sets the tests up once per rank
+as half-lines and a gap in ``2d``, so a row costs at most five divisions and
+one integer square root, and a row whose clipped window is empty never
+reaches the predicate.  The predicate decides the same tests from their
+definitions, on every triple it is handed, and reads nothing the walker
+builds.  The searches differ only in which rows they walk: the derived
+search visits each unordered pair ``{w, v - w}`` from one member.
 A class whose search cannot be certified finite is refused before any row
 is scanned; :func:`brute_force_walls` (``p3walls walls --brute-force``)
 scans an explicit box for it instead.
@@ -162,7 +160,7 @@ class WallCandidate:
 
     @property
     def top(self) -> TiltPoint:
-        return TiltPoint(self.circle.center, self.circle.radius_sq)
+        return wall_top(self.circle)
 
     def total(self) -> ChernTruncation:
         return self.sub + self.quotient
@@ -375,7 +373,6 @@ class _WallContext:
             self.bmt_radius_sq = Fraction(
                 self.G1 * self.G1 - 4 * self.G0 * self.delta_g, 4 * self.delta_g * self.delta_g
             )
-        self._lines: dict = {}
 
     @cached_property
     def region_ints(self) -> tuple[int, int, int, int, int]:
@@ -387,14 +384,6 @@ class _WallContext:
         """The slope ``c_v / r_v`` (``r_v != 0``), read by the certificate and the hull."""
         return Fraction(self.cv, self.rv)
 
-    def lines(self, r: int) -> _RankLines:
-        """The tests and the row walker of member rank ``r``
-        (:class:`_RankLines`), built once per rank."""
-        lines = self._lines.get(r)
-        if lines is None:
-            lines = self._lines[r] = _RankLines(self, r)
-        return lines
-
     @cached_property
     def hull_hi(self) -> Fraction:
         """The fixed end ``C(0)`` of :func:`_center_hull`, rounded up, bounded
@@ -404,10 +393,14 @@ class _WallContext:
         return self.mu - _sqrt_bounds(Fraction(self.delta, self.rv * self.rv))[0]
 
 
-class _RankLines:
-    """The tests of the wall predicate that can be solved for ``D = 2d`` on
-    the rows ``(r, c)`` of one member rank ``r``, and the row walker
-    (:meth:`walk`) that hands each row's survivors to the predicate.
+def _walk_rank(ctx: _WallContext, sink: set, r: int, cs: range, ends: tuple, den: int) -> None:
+    """Hand :func:`_row_walls` the survivors of every row ``c`` in ``cs`` of
+    member rank ``r``, walking each row once.
+
+    The window of row ``c`` runs from ``ceil(min(x) / den)`` to
+    ``floor(max(x) / den)`` over ``x = e c + f`` for the two ``(e, f)`` of
+    ``ends``, ``den > 0``.  It is clipped to the ``D = 2d`` that pass five of
+    the predicate's tests, set up once at the top for the whole rank.
 
     *Linear tests.*  On a row with ``k1 = r_v c - r c_v != 0`` the top of the
     circle is ``beta = K2 / m`` with ``m = 2 k1`` and ``K2 = r_v D - r D_v``.
@@ -418,9 +411,13 @@ class _RankLines:
     ``+ 1``).  The member discriminants are ``c^2 - r D >= 0`` and
     ``c_u^2 - r_u (D_v - D) >= 0``.  These four are half-lines ``a D >= b``
     with ``a = (-s r_v r, -s r_v r_u, -r, r_u)``, which depends on the row
-    only through ``s`` and is kept for both signs (:attr:`a`, indexed by
-    ``k1 > 0``); the right-hand sides (:meth:`b`) cost a few products per
-    row.  The predicate (:func:`_row_walls`) reads them from here too.
+    only through ``s``, so the half-lines bounding ``D`` from below, from
+    above and those whose ``a`` vanishes are sorted once for each sign.  The
+    right-hand sides ``1 - s (2 k1 c + r^2 D_v)``, ``1 - s (2 k1 c_u + r r_u
+    D_v)``, ``-c^2`` and ``r_u D_v - c_u^2`` cost a few products per row.
+    Each half-line is one floor or ceiling division; a zero ``a`` leaves a
+    constant test, which skips the row when it fails, as does ``k1 = 0``,
+    where the predicate rejects the whole row.
 
     *The circle test* ``quarter = K2^2 - 4 k1 K3 > 0``, ``K3 = c_v D - c D_v``.
     For ``r_v = 0`` it is linear, ``4 r c_v^2 D > r D_v (4 c c_v - r D_v)``,
@@ -438,109 +435,77 @@ class _RankLines:
     at every ``D`` the admissibility tests keep.  As ``r_v beta - c_v``
     grows with ``D`` when ``k1 > 0`` and falls when ``k1 < 0``, the ``D``
     that pass lie under the gap when ``k1 > 0`` and over it when
-    ``k1 < 0``: the gap is one more bound, and a row stays one step-2 range.
+    ``k1 < 0``: the gap is one more bound, one division after one ``isqrt``.
+
+    What is left is cut to the lattice (``2d = c`` mod 2).  A row left with
+    some lattice point goes to the predicate as one step-2 range, and the
+    predicate still runs every test on each triple.
     """
-
-    __slots__ = (
-        "r", "rv", "cv", "rcv", "h0", "h1", "h3", "h4", "a", "sides", "sq", "A", "p0", "p1"
+    rv, cv, Dv = ctx.rv, ctx.cv, ctx.Dv
+    ru, rcv = rv - r, r * cv
+    h0, h1, h3, h4 = r * r * Dv, r * ru * Dv, ru * Dv, r * Dv
+    # For r_v = 0 the circle test is a fifth half-line; otherwise the gap
+    # |A D - p| <= isqrt(sq k1^2), p = p1 c + p0, when disc(v) >= 0.
+    circle = () if rv else (4 * r * cv * cv,)
+    sq = 4 * ctx.delta if rv and ctx.delta >= 0 else None
+    A, p1, p0 = rv * rv, 2 * rv * cv, r * (rv * Dv - 2 * cv * cv)
+    # Per sign s of k1, a = (-s r_v r, -s r_v r_u, -r, r_u): the tests bounding
+    # D from below (a > 0), from above (a < 0, kept as -a) and those whose a
+    # vanishes.
+    below_zero, above_zero = (
+        (
+            [(i, x) for i, x in enumerate(a) if x > 0],
+            [(i, -x) for i, x in enumerate(a) if x < 0],
+            [i for i, x in enumerate(a) if x == 0],
+        )
+        for a in ((rv * r, rv * ru, -r, ru) + circle, (-rv * r, -rv * ru, -r, ru) + circle)
     )
-
-    def __init__(self, ctx: _WallContext, r: int):
-        rv, cv, Dv = ctx.rv, ctx.cv, ctx.Dv
-        ru = rv - r
-        self.r, self.rv, self.cv, self.rcv = r, rv, cv, r * cv
-        self.h0, self.h1, self.h3, self.h4 = r * r * Dv, r * ru * Dv, ru * Dv, r * Dv
-        a = (-rv * r, -rv * ru, -r, ru)  # k1 > 0; k1 < 0 flips the first two
-        self.a = ((-a[0], -a[1], a[2], a[3]), a)  # indexed by k1 > 0
-        # For r_v = 0 the circle test is a fifth half-line; otherwise the gap
-        # |A D - p| <= isqrt(sq k1^2), p = p1 c + p0, when disc(v) >= 0.
-        circle = () if rv else (4 * r * cv * cv,)
-        self.sq = 4 * ctx.delta if rv and ctx.delta >= 0 else None
-        self.A, self.p1, self.p0 = rv * rv, 2 * rv * cv, r * (rv * Dv - 2 * cv * cv)
-        # Per sign of k1: the tests bounding D from below (a > 0), from above
-        # (a < 0, kept as -a) and those whose a vanishes.
-        self.sides = [
-            (
-                [(i, x) for i, x in enumerate(a) if x > 0],
-                [(i, -x) for i, x in enumerate(a) if x < 0],
-                [i for i, x in enumerate(a) if x == 0],
-            )
-            for a in (self.a[0] + circle, self.a[1] + circle)
-        ]
-
-    def b(self, c: int, k1: int) -> tuple:
-        """The right-hand sides of the linear tests on the row ``c`` with
-        ``k1 != 0``: ``1 - s (2 k1 c + r^2 D_v)``,
-        ``1 - s (2 k1 c_u + r r_u D_v)``, ``-c^2`` and ``r_u D_v - c_u^2``."""
-        cu = self.cv - c
-        x0, x1 = 2 * k1 * c + self.h0, 2 * k1 * cu + self.h1
-        if k1 < 0:
-            x0, x1 = -x0, -x1
-        return 1 - x0, 1 - x1, -c * c, self.h3 - cu * cu
-
-    def walk(self, ctx: _WallContext, sink: set, cs: range, ends: tuple, den: int) -> None:
-        """Hand :func:`_row_walls` the survivors of every row ``c`` in ``cs``.
-
-        The window of row ``c`` runs from ``ceil(min(x) / den)`` to
-        ``floor(max(x) / den)`` over ``x = e c + f`` for the two ``(e, f)``
-        of ``ends``, ``den > 0``.  Each half-line is one floor or ceiling
-        division; a zero ``a`` leaves a constant test, which skips the row
-        when it fails, as does ``k1 = 0``, where the predicate rejects the
-        whole row.  The gap is one more division after one ``isqrt``, and
-        what is left is cut to the lattice (``2d = c`` mod 2).  A row left
-        with some lattice point goes to the predicate as one step-2 range,
-        and the predicate still runs every test on each triple.
-        """
-        r, rv, cv, rcv, h0, h1, h3, h4 = (
-            self.r, self.rv, self.cv, self.rcv, self.h0, self.h1, self.h3, self.h4)
-        sq, A, p0, p1 = self.sq, self.A, self.p0, self.p1
-        (e0, f0), (e1, f1) = ends
-        below_zero, above_zero = self.sides
-        for c in cs:
-            k1 = rv * c - rcv
-            if not k1:
-                continue
-            x0, x1 = e0 * c + f0, e1 * c + f1
-            if x0 > x1:
-                x0, x1 = x1, x0
-            lo, hi = -(-x0 // den), x1 // den
-            # :meth:`b`, inlined, and for r_v = 0 the circle test's half-line
-            cu = cv - c
-            y0, y1 = 2 * k1 * c + h0, 2 * k1 * cu + h1
+    (e0, f0), (e1, f1) = ends
+    for c in cs:
+        k1 = rv * c - rcv
+        if not k1:
+            continue
+        x0, x1 = e0 * c + f0, e1 * c + f1
+        if x0 > x1:
+            x0, x1 = x1, x0
+        lo, hi = -(-x0 // den), x1 // den
+        # the right-hand sides, and for r_v = 0 the circle test's half-line
+        cu = cv - c
+        y0, y1 = 2 * k1 * c + h0, 2 * k1 * cu + h1
+        if k1 > 0:
+            b = (1 - y0, 1 - y1, -c * c, h3 - cu * cu)
+            lower, upper, fixed = above_zero
+        else:
+            b = (1 + y0, 1 + y1, -c * c, h3 - cu * cu)
+            lower, upper, fixed = below_zero
+        if not rv:
+            b += (1 + h4 * (4 * c * cv - h4),)
+        if fixed and any(b[i] > 0 for i in fixed):
+            continue
+        for i, a in lower:
+            x = -(-b[i] // a)
+            if x > lo:
+                lo = x
+        for i, a in upper:
+            x = -b[i] // a
+            if x < hi:
+                hi = x
+        if lo > hi:
+            continue
+        if sq is not None:
+            s = math.isqrt(sq * k1 * k1)
+            p = p1 * c + p0
             if k1 > 0:
-                b = (1 - y0, 1 - y1, -c * c, h3 - cu * cu)
-                lower, upper, fixed = above_zero
-            else:
-                b = (1 + y0, 1 + y1, -c * c, h3 - cu * cu)
-                lower, upper, fixed = below_zero
-            if not rv:
-                b += (1 + h4 * (4 * c * cv - h4),)
-            if fixed and any(b[i] > 0 for i in fixed):
-                continue
-            for i, a in lower:
-                x = -(-b[i] // a)
-                if x > lo:
-                    lo = x
-            for i, a in upper:
-                x = -b[i] // a
+                x = -((s - p) // A) - 1  # the last D under the gap
                 if x < hi:
                     hi = x
-            if lo > hi:
-                continue
-            if sq is not None:
-                s = math.isqrt(sq * k1 * k1)
-                p = p1 * c + p0
-                if k1 > 0:
-                    x = -((s - p) // A) - 1  # the last D under the gap
-                    if x < hi:
-                        hi = x
-                else:
-                    x = (p + s) // A + 1  # the first D over it
-                    if x > lo:
-                        lo = x
-            lo += (lo - c) % 2
-            if lo <= hi:
-                _row_walls(ctx, sink, r, c, range(lo, hi + 1, 2))
+            else:
+                x = (p + s) // A + 1  # the first D over it
+                if x > lo:
+                    lo = x
+        lo += (lo - c) % 2
+        if lo <= hi:
+            _row_walls(ctx, sink, r, c, range(lo, hi + 1, 2))
 
 
 def _row_walls(ctx: _WallContext, sink: set, r: int, c: int, Ds: range) -> None:
@@ -549,22 +514,25 @@ def _row_walls(ctx: _WallContext, sink: set, r: int, c: int, Ds: range) -> None:
     This is the single definition of "is a wall" shared by the derived-bound
     enumeration and the exhaustive scan; the two strategies differ only in
     which rows they feed it.  Every test is on integers and runs on every
-    triple, whatever window it is handed.  A survivor's pair goes into
-    ``sink`` as its members' integers ``(r, c, 2d)``, ordered by
-    :func:`_orient_pair`, so a pair found from both members is kept once;
-    :func:`_build_walls` builds the walls after the scan.
+    triple, whatever window it is handed; the tests :func:`_walk_rank`
+    clips by are decided here from their definitions, with nothing the
+    walker builds, so a fault in the walker cannot also hide in the
+    predicate.  A survivor's pair goes into ``sink`` as its members'
+    integers ``(r, c, 2d)``, ordered by :func:`_orient_pair`, so a pair
+    found from both members is kept once; :func:`_build_walls` builds the
+    walls after the scan.
     """
     rv, cv, Dv = ctx.rv, ctx.cv, ctx.Dv
     k1 = rv * c - r * cv
     if k1 == 0 or not Ds:
         return  # vertical or everywhere (also the zero member and complement), or no triple
     ru, cu = rv - r, cv - c
-    # The circle has center C = K2 / m and squared radius quarter / m^2.
+    # The circle has center C = K2 / m and squared radius quarter / m^2; at
+    # its top the imaginary parts of the members, times m, are m c - r K2
+    # and m c_u - r_u K2.
     m = 2 * k1
     mm = m * m
-    lines = ctx.lines(r)
-    a0, a1, a2, a3 = lines.a[k1 > 0]
-    b0, b1, b2, b3 = lines.b(c, k1)
+    mc, mcu = m * c, m * cu
     # Positivity: on the circle the form is affine in beta, with value
     # P / (g m^2) at the top and slope S / (g m), where
     # P = dg (K2^2 + quarter) + G1 K2 m + G0 m^2 and S = 2 dg K2 + G1 m; it
@@ -574,12 +542,12 @@ def _row_walls(ctx: _WallContext, sink: set, r: int, c: int, Ds: range) -> None:
     for D in Ds:
         if (D - c) % 2:
             continue  # off the truncation lattice
-        if a0 * D < b0 or a1 * D < b1:
-            continue  # not admissible at the top
-        if a2 * D < b2 or a3 * D < b3:
-            continue  # a member would violate the discriminant inequality
-        Du = Dv - D
         K2 = rv * D - r * Dv  # twice k2
+        if (mc - r * K2) * k1 <= 0 or (mcu - ru * K2) * k1 <= 0:
+            continue  # not admissible at the top
+        Du = Dv - D
+        if c * c < r * D or cu * cu < ru * Du:
+            continue  # a member would violate the discriminant inequality
         K3 = cv * D - c * Dv  # twice k3
         quarter = K2 * K2 - 4 * k1 * K3  # (2 k1 rho)^2
         if quarter <= 0:
@@ -645,8 +613,8 @@ def brute_force_walls(
     to every lattice triple ``(r, c, 2d)`` with ``|r| <= r_max``,
     ``|c| <= c_max`` and ``|2d| <= two_d_max`` that could be a wall, and
     reports the deduplicated, sorted walls.  Each rank's rows walk the
-    window ``|2d| <= two_d_max`` through :meth:`_RankLines.walk`, the path
-    of the derived scans: the walker drops only off-lattice points and
+    window ``|2d| <= two_d_max`` through :func:`_walk_rank`, the path of
+    the derived scans: the walker drops only off-lattice points and
     points that fail one of the predicate's linear tests or its circle
     test, so the oracle's walls are those of the whole box.  The oracle
     takes none of the derived search's rank, ``c`` or radius bounds.
@@ -656,7 +624,7 @@ def brute_force_walls(
     t = bounds.two_d_max
     cs = range(-bounds.c_max, bounds.c_max + 1)
     for r in range(-bounds.r_max, bounds.r_max + 1):
-        ctx.lines(r).walk(ctx, found, cs, ((0, -t), (0, t)), 1)
+        _walk_rank(ctx, found, r, cs, ((0, -t), (0, t)), 1)
     return _build_walls(ctx, found)
 
 
@@ -751,7 +719,7 @@ def _scan_rank(ctx: _WallContext, sink: set, r: int, t_hi: Fraction) -> None:
     cap ``disc(v) / (2 r_v gap)`` exceeds a hundred for some small classes
     of rank 4 and 5, and their windows then hold tens of millions of
     triples.  So the rank's rows walk their windows through
-    :meth:`_RankLines.walk`, which keeps the lattice points that pass the
+    :func:`_walk_rank`, which keeps the lattice points that pass the
     predicate's four tests linear in ``2d`` and its circle test, a few per
     row, and hands only those to the predicate.  The rank-zero rows stop at
     the torsion bound ``c^2 < disc(v)`` of :func:`_derived_walls`: past it
@@ -778,7 +746,7 @@ def _scan_rank(ctx: _WallContext, sink: set, r: int, t_hi: Fraction) -> None:
     if not r:
         stop = min(stop, math.isqrt(ctx.delta - 1) + 1)  # the torsion bound c^2 < disc(v)
     cs = range(-(-min(rn) // q), stop)
-    ctx.lines(r).walk(ctx, sink, cs, ((a0, b0), (a1, b1)), den)
+    _walk_rank(ctx, sink, r, cs, ((a0, b0), (a1, b1)), den)
 
 
 def enumerate_tilt_walls(v: ChernCharacter, region: Region) -> list[WallCandidate]:

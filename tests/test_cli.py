@@ -266,6 +266,20 @@ def test_rank_zero_brute_force_walls_match_golden(capsys):
     assert json.loads(out)["count"] == 20
 
 
+def test_negative_rank_brute_force_walls_match_golden(capsys):
+    # Only the oracle walks the rows of a total of negative rank; the derived
+    # search mirrors it through the dual.  Both list the same walls.
+    box = ("--r-max", "5", "--c-max", "20", "--two-d-max", "100")
+    code, out, err = invoke(
+        capsys, "walls", "--v=-4,9,43/2,69", "--brute-force", *box, "--format", "json"
+    )
+    assert (code, err) == (0, "")
+    assert out.encode("utf-8") == (GOLDEN / "walls_bruteforce_rank_minus4.json").read_bytes()
+    derived = json.loads((GOLDEN / "walls_rank_minus4.json").read_text())
+    assert json.loads(out)["walls"] == derived["walls"]
+    assert json.loads(out)["count"] == 85
+
+
 def test_rank_four_walls_match_golden(capsys):
     # The hull windows of this class hold 77,165,808 triples; the walked
     # windows hold 434.

@@ -98,26 +98,42 @@ def _walked(module) -> list:
             ctx = module._WallContext(v, REGION)
             for r in range(-3, 4):
                 for ends, den in WINDOWS:
-                    ctx.lines(r).walk(ctx, set(), range(-8, 9), ends, den)
+                    module._walk_rank(ctx, set(), r, range(-8, 9), ends, den)
     finally:
         module._row_walls = row_walls
     return rows
 
 
+def _whole_rows(module) -> list:
+    """The pairs the predicate keeps on each whole step-1 row, which no walker
+    has clipped, as ``(r, c, pairs)``: ranks -3..3, rows |c| <= 8 and 2d in
+    -40..40."""
+    kept: list = []
+    for v in WALKED:
+        ctx = module._WallContext(v, REGION)
+        for r in range(-3, 4):
+            for c in range(-8, 9):
+                sink: set = set()
+                module._row_walls(ctx, sink, r, c, range(-40, 41))
+                if sink:
+                    kept.append((r, c, sorted(sink)))
+    return kept
+
+
 def _scanned(module) -> list:
-    """Every call the derived scans make to a walker: rank, rows and window."""
+    """Every call the derived scans make to the walker: rank, rows and window."""
     calls: list = []
-    walk = module._RankLines.walk
+    walk_rank = module._walk_rank
 
-    def record(self, ctx, sink, cs, ends, den):
-        calls.append((self.r, cs, ends, den))
-        walk(self, ctx, sink, cs, ends, den)
+    def record(ctx, sink, r, cs, ends, den):
+        calls.append((r, cs, ends, den))
+        walk_rank(ctx, sink, r, cs, ends, den)
 
-    module._RankLines.walk = record
+    module._walk_rank = record
     try:
         _derived(module)
     finally:
-        module._RankLines.walk = walk
+        module._walk_rank = walk_rank
     return calls
 
 
@@ -125,11 +141,22 @@ CHECKS = {
     "derived walls": _derived,
     "oracle walls": _oracle,
     "walked rows": _walked,
+    "whole rows": _whole_rows,
     "scanned windows": _scanned,
 }
 EXPECTED = {name: check(walls_module) for name, check in CHECKS.items()}
 
 #: ``(name, substring of walls.py, replacement, checks that must fail)``.
+#:
+#: No mutant makes either admissibility test of the predicate non-strict: both
+#: are equivalent mutants.  The top of a circle lies on the slope-zero locus
+#: of ``v``, so if ``im(w) = 0`` there while ``im(u) > 0`` the slope equality
+#: forces ``Z(w) = 0`` at a point of positive height; with ``disc(w) >= 0``
+#: that means ``w = (0, 0, d)``, which has ``k1 = 0``.  Nor does one turn
+#: ``quarter <= 0`` into ``quarter < 0``: that changes the predicate alone
+#: only on point circles, whose top at height 0 needs a square ``disc(v)``,
+#: and both walkers cut ``quarter = 0`` by strict tests first, so no search
+#: can see it.
 MUTANTS = [
     # the circle test of the row walker
     ("gap root rounded outward",
@@ -158,6 +185,16 @@ MUTANTS = [
     ("ceiling turned into a floor",
      "x = -(-b[i] // a)", "x = b[i] // a",
      ["walked rows"]),
+    # the predicate on its own, whose rows no walker clipped
+    ("predicate drops disc(u)",
+     "if c * c < r * D or cu * cu < ru * Du:", "if c * c < r * D:",
+     ["whole rows"]),
+    ("predicate drops the lattice parity",
+     "if (D - c) % 2:\n            continue  # off the truncation lattice", "if False:\n            continue",
+     ["whole rows"]),
+    ("predicate drops the complement's primitivity",
+     "if math.gcd(ru, cu, (Du - cu) // 2) != 1:", "if False:",
+     ["whole rows", "oracle walls", "derived walls"]),
     ("scan window shifted by one",
      "(2 * n * rv, r * (Dv * q - 2 * n * cv))", "(2 * n * rv, r * (Dv * q - 2 * n * cv) + rv * q)",
      ["scanned windows", "derived walls"]),

@@ -923,7 +923,7 @@ def test_oracle_equivalence_on_random_classes(total):
         row_walls(ctx, sink, r, c, Ds)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(walls_module, "_RankLines", _recording_rank_lines(hull, walk=True))
+        mp.setattr(walls_module, "_walk_rank", _recording_walk_rank(hull, walk=True))
         mp.setattr(walls_module, "_row_walls", record)
         try:
             smart = enumerate_tilt_walls(total, region)
@@ -1114,24 +1114,20 @@ def _reference_scan_rank_zero_total(
         walls_module._row_walls(ctx, sink, r, c, Ds)
 
 
-def _recording_rank_lines(hull: list, walk: bool) -> type:
-    """A :class:`walls._RankLines` whose walker first appends the window of
-    each row it is handed to ``hull`` as ``(r, c, range(lo, hi + 1))``,
-    empty or not, and then walks the rows, or, with ``walk=False``, hands
-    the predicate nothing."""
+def _recording_walk_rank(hull: list, walk: bool):
+    """A :func:`walls._walk_rank` that first appends the window of each row
+    it is handed to ``hull`` as ``(r, c, range(lo, hi + 1))``, empty or not,
+    and then walks the rows, or, with ``walk=False``, hands the predicate
+    nothing."""
+    walk_rank = walls_module._walk_rank
 
-    class Recording(walls_module._RankLines):
-        __slots__ = ()
+    def recording(ctx, sink, r, cs, ends, den):
+        for c in cs:
+            hull.append((r, c, _window(c, ends, den)))
+        if walk:
+            walk_rank(ctx, sink, r, cs, ends, den)
 
-        def walk(self, ctx, sink, cs, ends, den):
-            (e0, f0), (e1, f1) = ends
-            for c in cs:
-                x0, x1 = e0 * c + f0, e1 * c + f1
-                hull.append((self.r, c, range(-(-min(x0, x1) // den), max(x0, x1) // den + 1)))
-            if walk:
-                super().walk(ctx, sink, cs, ends, den)
-
-    return Recording
+    return recording
 
 
 def _scanned_rows(total: ChernCharacter, reference: bool) -> list:
@@ -1151,7 +1147,7 @@ def _scanned_rows(total: ChernCharacter, reference: bool) -> list:
             mp.setattr(walls_module, "_scan_rank", _reference_scan_rank)
             mp.setattr(walls_module, "_row_walls", lambda ctx, sink, r, c, Ds: hull.append((r, c, Ds)))
         else:
-            mp.setattr(walls_module, "_RankLines", _recording_rank_lines(hull, walk=False))
+            mp.setattr(walls_module, "_walk_rank", _recording_walk_rank(hull, walk=False))
         try:
             enumerate_tilt_walls(total, REGION)
         except WallSearchError:
@@ -1412,7 +1408,7 @@ def _walked(ctx: walls_module._WallContext, r: int, cs: range, ends: tuple, den:
     pieces: list = []
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(walls_module, "_row_walls", lambda ctx, sink, r, c, Ds: pieces.append((r, c, Ds)))
-        ctx.lines(r).walk(ctx, set(), cs, ends, den)
+        walls_module._walk_rank(ctx, set(), r, cs, ends, den)
     assert all(Ds and Ds.step == 2 for _, _, Ds in pieces)
     return pieces
 
@@ -1427,16 +1423,22 @@ def _window(c: int, ends: tuple, den: int) -> range:
 def _row_kinds(ctx: walls_module._WallContext, r: int, c: int, Ds: range) -> set:
     """The kinds of a walked row, for the coverage asserts: how many ``2d``
     it keeps, whether a constant test fails, and what the circle test did."""
-    lines, kept = ctx.lines(r), _reference_clip(ctx, r, c, Ds)
+    kept = _reference_clip(ctx, r, c, Ds)
     n = len(kept)
     kinds = {"empty" if n == 0 else "single" if n == 1 else "odd" if n % 2 else "even"}
     if r == 0:
         kinds.add("r = 0")
     if r == ctx.rv:
         kinds.add("r = r_v")
-    # a coefficient of a test vanishes on this row, and its constant fails
-    k1 = ctx.rv * c - r * ctx.cv
-    if k1 and any(a == 0 and b > 0 for a, b in zip(lines.a[k1 > 0], lines.b(c, k1))):
+    # a coefficient of a test vanishes on this row, and its constant fails;
+    # the four linear tests as the half-lines a 2d >= b of walls._walk_rank
+    rv, cv, Dv = ctx.rv, ctx.cv, ctx.Dv
+    ru, cu, k1 = rv - r, cv - c, rv * c - r * cv
+    s = 1 if k1 > 0 else -1
+    a = (-s * rv * r, -s * rv * ru, -r, ru)
+    b = (1 - s * (2 * k1 * c + r * r * Dv), 1 - s * (2 * k1 * cu + r * ru * Dv),
+         -c * c, ru * Dv - cu * cu)
+    if k1 and any(x == 0 and y > 0 for x, y in zip(a, b)):
         kinds.add("constant fails")
     linear = _reference_clip(ctx, r, c, Ds, circle=False)
     if linear != kept:
