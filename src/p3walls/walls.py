@@ -46,8 +46,10 @@ Both searches decide the predicate one row ``(r, c)`` at a time, computing
 what depends only on the row once (:func:`_row_walls`), and both walk each
 member rank's rows once (:func:`_walk_rank`), clipping each row's window to
 the lattice points that pass five of the predicate's tests: the four linear
-in ``2d`` and the circle test.  The walker sets the tests up once per rank
-as half-lines and a gap in ``2d``, so a row costs at most five divisions and
+in ``2d`` and the circle test.  The walker skips the side of ``k1 = 0`` on
+which the two admissibility tests cannot both hold
+(:func:`_admissible_rows`), and sets the tests up once per rank as
+half-lines and a gap in ``2d``, so a row costs at most five divisions and
 one integer square root, and a row whose clipped window is empty never
 reaches the predicate.  The predicate decides the same tests from their
 definitions, on every triple it is handed, and reads nothing the walker
@@ -393,14 +395,46 @@ class _WallContext:
         return self.mu - _sqrt_bounds(Fraction(self.delta, self.rv * self.rv))[0]
 
 
-def _walk_rank(ctx: _WallContext, sink: set, r: int, cs: range, ends: tuple, den: int) -> None:
-    """Hand :func:`_row_walls` the survivors of every row ``c`` in ``cs`` of
-    member rank ``r``, walking each row once.
+def _admissible_rows(ctx: _WallContext, r: int, cs: range) -> range:
+    """The rows of ``cs`` (a step-1 range) of member rank ``r`` that can hold
+    an admissible pair: all of them, less one side of ``k1 = 0``
+    (``k1 = r_v c - r c_v``) when ``r_v != 0`` and ``r`` is outside
+    ``[0, r_v]``.
 
-    The window of row ``c`` runs from ``ceil(min(x) / den)`` to
-    ``floor(max(x) / den)`` over ``x = e c + f`` for the two ``(e, f)`` of
-    ``ends``, ``den > 0``.  It is clipped to the ``D = 2d`` that pass five of
-    the predicate's tests, set up once at the top for the whole rank.
+    At every ``beta`` the imaginary parts ``im(x) = c_x - r_x beta`` of
+    ``w = (r, c, d)`` and ``u = v - w`` satisfy
+    ``r_u im(w) - r im(u) = r_u c - r c_u = k1``, whatever ``d``.
+    Admissibility asks both to be positive at the top of the circle.  When
+    ``r`` and ``r_u = r_v - r`` have opposite signs, ``r_u im(w) - r im(u)``
+    then has the sign of ``r_u``, so no row whose ``k1`` has the sign of
+    ``r`` holds an admissible ``2d``: its window is empty, and the walker
+    hands the predicate exactly what it would without the cut.  That side
+    is one end of ``cs``, cut off at ``c = r c_v / r_v``.  The identity also
+    empties one side of ``r = 0``, of ``r = r_v`` and, for ``r_v = 0``, of
+    every rank; those rows are walked, and a constant test skips each.
+
+    In the walker's terms the two admissibility half-lines bound ``2d``
+    from opposite ends there, and they meet only where
+    ``q(c) = a_l b_u(c) - a_u b_l(c) <= 0``; on the side of the sign of
+    ``r``, ``q(c) = |r_v| (2 k1^2 + |r| + |r_u|) > 0``.
+    """
+    rv, rcv = ctx.rv, r * ctx.cv
+    if not rv or r * (rv - r) >= 0:
+        return cs
+    if r * rv < 0:  # drop c < r c_v / r_v, where k1 has the sign of -r_v, that of r
+        return range(max(cs.start, -(-rcv // rv)), cs.stop)
+    return range(cs.start, min(cs.stop, rcv // rv + 1))  # drop c > r c_v / r_v
+
+
+def _walk_rank(ctx: _WallContext, sink: set, r: int, cs: range, ends: tuple, den: int) -> None:
+    """Hand :func:`_row_walls` the survivors of every row ``c`` in ``cs`` (a
+    step-1 range) of member rank ``r``, walking each row once.
+
+    Only the rows :func:`_admissible_rows` keeps are walked.  The window of
+    row ``c`` runs from ``ceil(min(x) / den)`` to ``floor(max(x) / den)``
+    over ``x = e c + f`` for the two ``(e, f)`` of ``ends``, ``den > 0``.
+    It is clipped to the ``D = 2d`` that pass five of the predicate's
+    tests, set up once at the top for the whole rank.
 
     *Linear tests.*  On a row with ``k1 = r_v c - r c_v != 0`` the top of the
     circle is ``beta = K2 / m`` with ``m = 2 k1`` and ``K2 = r_v D - r D_v``.
@@ -452,16 +486,20 @@ def _walk_rank(ctx: _WallContext, sink: set, r: int, cs: range, ends: tuple, den
     # Per sign s of k1, a = (-s r_v r, -s r_v r_u, -r, r_u): the tests bounding
     # D from below (a > 0), from above (a < 0, kept as -a) and those whose a
     # vanishes.
-    below_zero, above_zero = (
-        (
-            [(i, x) for i, x in enumerate(a) if x > 0],
-            [(i, -x) for i, x in enumerate(a) if x < 0],
-            [i for i, x in enumerate(a) if x == 0],
-        )
-        for a in ((rv * r, rv * ru, -r, ru) + circle, (-rv * r, -rv * ru, -r, ru) + circle)
-    )
+    sides = []
+    for a in ((rv * r, rv * ru, -r, ru) + circle, (-rv * r, -rv * ru, -r, ru) + circle):
+        lower, upper, fixed = [], [], []
+        for i, x in enumerate(a):
+            if x > 0:
+                lower.append((i, x))
+            elif x < 0:
+                upper.append((i, -x))
+            else:
+                fixed.append(i)
+        sides.append((lower, upper, fixed))
+    below_zero, above_zero = sides
     (e0, f0), (e1, f1) = ends
-    for c in cs:
+    for c in _admissible_rows(ctx, r, cs):
         k1 = rv * c - rcv
         if not k1:
             continue
@@ -607,19 +645,30 @@ def _build_walls(ctx: _WallContext, pairs: Iterable) -> list[WallCandidate]:
 def brute_force_walls(
     v: ChernCharacter, region: Region, bounds: SearchBounds
 ) -> list[WallCandidate]:
-    """Exhaustive oracle: every row of the box, with no derived bound.
+    """Exhaustive oracle: the whole box, with no derived bound.
 
     Applies exactly the same wall predicate as :func:`enumerate_tilt_walls`
     to every lattice triple ``(r, c, 2d)`` with ``|r| <= r_max``,
     ``|c| <= c_max`` and ``|2d| <= two_d_max`` that could be a wall, and
     reports the deduplicated, sorted walls.  Each rank's rows walk the
     window ``|2d| <= two_d_max`` through :func:`_walk_rank`, the path of
-    the derived scans: the walker drops only off-lattice points and
-    points that fail one of the predicate's linear tests or its circle
-    test, so the oracle's walls are those of the whole box.  The oracle
-    takes none of the derived search's rank, ``c`` or radius bounds.
+    the derived scans: the walker drops only rows on which the two
+    admissibility tests cannot both hold (:func:`_admissible_rows`),
+    off-lattice points and points that fail one of the predicate's linear
+    tests or its circle test, so the oracle's walls are those of the whole
+    box.  The
+    oracle takes none of the derived search's rank, ``c`` or radius bounds.
+
+    A class with ``disc(v) < 0`` has no wall, so no row is walked.  At the
+    top ``(beta, alpha)``, ``alpha > 0``, of a wall both members have
+    ``nu = 0``, so ``disc(x) = (c_x^beta)^2 - r_x^2 alpha^2`` for
+    ``x = w, u`` and for ``v = w + u``.  Admissibility (``c_x^beta > 0``)
+    and ``disc(x) >= 0`` give ``c_x^beta >= |r_x| alpha``, so
+    ``disc(v) >= ((|r_w| + |r_u|)^2 - (r_w + r_u)^2) alpha^2 >= 0``.
     """
     ctx = _WallContext(v, region)
+    if ctx.delta < 0:
+        return []
     found: set = set()
     t = bounds.two_d_max
     cs = range(-bounds.c_max, bounds.c_max + 1)
@@ -779,9 +828,13 @@ def enumerate_tilt_walls(v: ChernCharacter, region: Region) -> list[WallCandidat
     and a :class:`WallSearchError`, raised before any scan, asks for an
     explicit box instead of guessing: :func:`brute_force_walls`, or
     ``p3walls walls --brute-force``.  A nonpositive discriminant admits
-    no circle walls at all (negative is incompatible with discriminant
-    additivity; zero forces any equal-slope pair onto a vertical locus), so
-    those return ``[]`` at once, as does a rank-zero class with ``c_v <= 0``.
+    no circle walls at all, so those return ``[]`` at once, as does a
+    rank-zero class with ``c_v <= 0``.  Zero forces any equal-slope pair
+    onto a vertical locus.  Negative cannot hold at a wall's top
+    ``(beta, alpha)``: there every member ``x`` has ``nu = 0``, so
+    ``disc(x) = (c_x^beta)^2 - r_x^2 alpha^2``, and admissibility with
+    ``disc(x) >= 0`` gives ``c_x^beta >= |r_x| alpha``, hence
+    ``disc(v) >= ((|r_w| + |r_u|)^2 - (r_w + r_u)^2) alpha^2 >= 0``.
     """
     ctx = _WallContext(v, region)  # a class off the lattice is named as given
     if ctx.rv < 0:

@@ -107,6 +107,19 @@ def test_refused_class_goes_through_brute_force(capsys, monkeypatch):
     assert code == 0 and err == "" and json.loads(out)["count"] == 6
 
 
+def test_negative_discriminant_thin_box_is_answered_at_once(capsys):
+    # the largest accepted thin box: a class with disc(v) < 0 walks none of its rows
+    start = time.perf_counter()
+    code, out, err = invoke(
+        capsys,
+        "walls", "--v=1,0,1,0", "--brute-force",
+        "--r-max", "49", "--c-max", "5050", "--two-d-max", "0",
+    )
+    elapsed = time.perf_counter() - start
+    assert (code, out.strip(), err) == (0, "(no walls)", "")
+    assert elapsed < 0.1
+
+
 def test_walls_empty(capsys):
     code, out, _ = invoke(capsys, "walls", "--v", "1,0,0,0")
     assert (code, out.strip()) == (0, "(no walls)")

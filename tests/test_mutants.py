@@ -52,10 +52,13 @@ ORACLE = [
     (ChernCharacter(3, -2, -1, Fraction(8, 3)), walls_module.SearchBounds(3, 8, 30)),
 ]
 
-#: Walked rows: ranks -3..3, rows |c| <= 8, a fixed window and one whose ends
+#: Walked rows: ranks -5..5, rows |c| <= 8, a fixed window and one whose ends
 #: have opposite slopes, over classes of rank -2..4 (one of them rank zero).
+#: For ``4,-1,-1/2,0`` the rows of ranks -1 and 5 next to the cut at
+#: ``k1 = 0`` each keep a ``2d``: ``c = 1`` and ``c = -2``.
 WALKED = [V, RANK_ZERO, ChernCharacter(4, 9, Fraction(-41, 2), 44),
-          ChernCharacter(-2, -6, -3, 19), ChernCharacter(2, -1, Fraction(-5, 2), Fraction(29, 6))]
+          ChernCharacter(-2, -6, -3, 19), ChernCharacter(2, -1, Fraction(-5, 2), Fraction(29, 6)),
+          ChernCharacter(4, -1, Fraction(-1, 2), 0)]
 WINDOWS = [(((0, -40), (0, 40)), 1), (((1, -9), (-2, 17)), 2)]
 
 
@@ -96,7 +99,7 @@ def _walked(module) -> list:
     try:
         for v in WALKED:
             ctx = module._WallContext(v, REGION)
-            for r in range(-3, 4):
+            for r in range(-5, 6):
                 for ends, den in WINDOWS:
                     module._walk_rank(ctx, set(), r, range(-8, 9), ends, den)
     finally:
@@ -172,6 +175,21 @@ MUTANTS = [
     ("torsion cap one row short",
      "stop = min(stop, math.isqrt(ctx.delta - 1) + 1)", "stop = min(stop, math.isqrt(ctx.delta - 1))",
      ["scanned windows"]),
+    # the rows a rank walks: one side of k1 = 0 holds no admissible pair
+    ("row cut on the wrong side of k1 = 0",
+     "if r * rv < 0:  # drop c < r c_v / r_v", "if r * rv > 0:  # drop c < r c_v / r_v",
+     ["walked rows", "derived walls"]),
+    ("row cut on both sides of an outside rank",
+     "    if r * rv < 0:  # drop c < r c_v / r_v", "    return cs[:0]\n    if r * rv < 0:  # drop c < r c_v / r_v",
+     ["walked rows", "derived walls"]),
+    ("row cut rounded inward above k1 = 0",
+     "return range(max(cs.start, -(-rcv // rv)), cs.stop)",
+     "return range(max(cs.start, -(-rcv // rv) + 1), cs.stop)",
+     ["walked rows"]),
+    ("row cut rounded inward below k1 = 0",
+     "return range(cs.start, min(cs.stop, rcv // rv + 1))",
+     "return range(cs.start, min(cs.stop, rcv // rv))",
+     ["walked rows"]),
     # the linear tests, clipped once per rank
     ("sides swapped at k1 < 0",
      "lower, upper, fixed = below_zero", "lower, upper, fixed = above_zero",

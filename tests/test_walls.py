@@ -1613,6 +1613,84 @@ def test_rank_clip_matches_fraction_reference_on_random_rows(rv, cv, k, r, c0, l
     _assert_rank_clip_matches_reference(ctx, r, range(c0, c0 + 8), [(ends, den)])
 
 
+def _assert_dropped_rows_are_empty(
+    ctx: walls_module._WallContext, r: int, cs: range, Ds: range
+) -> int:
+    """Assert that no row of ``cs`` that ``walls._admissible_rows`` drops
+    holds a ``2d`` of ``Ds`` that passes the reference's admissibility and
+    discriminant tests; return how many rows with ``k1 != 0`` were dropped."""
+    kept = walls_module._admissible_rows(ctx, r, cs)
+    assert kept.step == 1 and (not kept or cs.start <= kept.start <= kept[-1] < cs.stop)
+    dropped = [c for c in cs if c not in kept and ctx.rv * c - r * ctx.cv]
+    for c in dropped:
+        assert _reference_clip(ctx, r, c, Ds, circle=False) == [], (r, c)
+    return len(dropped)
+
+
+#: Totals of rank -4..4, c_v of both parities and signs, D_v of both signs.
+SIDE_TOTALS = [
+    ChernCharacter(rv, cv, Fraction(cv, 2) + k, 0)
+    for rv in range(-4, 5) for cv in (-3, 0, 2, 5) for k in (-4, 3)
+]
+
+
+def test_dropped_rows_hold_no_admissible_pair():
+    # Every row the walker skips for its side of k1 = 0, over the oracle's
+    # test boxes and over member ranks -4..4 of totals of rank -4..4: none
+    # holds a 2d admissible at its top whose members have discriminant >= 0.
+    dropped = {-1: 0, 0: 0, 1: 0}
+    for total, bounds in LATTICE_BOXES:
+        ctx, t = walls_module._WallContext(total, REGION), bounds.two_d_max
+        for r in range(-bounds.r_max, bounds.r_max + 1):
+            n = _assert_dropped_rows_are_empty(
+                ctx, r, range(-bounds.c_max, bounds.c_max + 1), range(-t, t + 1))
+            dropped[(ctx.rv > 0) - (ctx.rv < 0)] += n
+    for total in SIDE_TOTALS:
+        ctx = walls_module._WallContext(total, REGION)
+        for r in range(-4, 5):
+            n = _assert_dropped_rows_are_empty(ctx, r, range(-8, 9), range(-20, 21))
+            dropped[(ctx.rv > 0) - (ctx.rv < 0)] += n
+    assert dropped[1] and dropped[-1] and not dropped[0], dropped
+
+
+@given(
+    rational_totals(),
+    st.integers(-5, 5),
+    st.integers(-12, 12),
+    st.integers(-40, 40),
+    st.integers(0, 40),
+)
+@settings(max_examples=100, deadline=None)
+def test_dropped_rows_hold_no_admissible_pair_on_random_totals(total, r, c0, start, length):
+    ctx = walls_module._WallContext(total, REGION)
+    _assert_dropped_rows_are_empty(ctx, r, range(c0, c0 + 8), range(start, start + length))
+
+
+#: Totals with disc(v) < 0, of rank -3..3.
+NEGATIVE_DISC_TOTALS = [
+    ChernCharacter(rv, cv, Fraction(cv, 2) + k, e)
+    for rv in range(-3, 4) for cv in (-2, 1, 4) for k in (-3, 2, 9) for e in (0, Fraction(5, 3))
+    if cv * cv < rv * (cv + 2 * k)
+]
+
+
+@pytest.mark.parametrize("total", NEGATIVE_DISC_TOTALS, ids=str)
+def test_negative_discriminant_box_walks_no_rank(total, monkeypatch):
+    def walk_rank(*args):
+        raise AssertionError("walked a rank of a class with disc(v) < 0")
+
+    monkeypatch.setattr(walls_module, "_walk_rank", walk_rank)
+    assert brute_force_walls(total, REGION, SearchBounds(3, 8, 30)) == []
+    assert brute_force_walls(total, WIDE_REGION, SearchBounds(3, 8, 30)) == []
+
+
+def test_negative_discriminant_whole_rows_keep_nothing():
+    # The predicate alone, on whole step-1 rows no walker clipped.
+    assert len(NEGATIVE_DISC_TOTALS) > 20
+    for total in NEGATIVE_DISC_TOTALS:
+        assert _whole_row_walls(total, WIDE_REGION, SearchBounds(3, 8, 40)) == [], total
+
+
 def _triples_handed_to_the_predicate(total: ChernCharacter) -> tuple[int, int]:
     """``(triples, walls)`` of the derived search over REGION."""
     triples = 0
