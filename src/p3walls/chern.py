@@ -24,6 +24,7 @@ exactly these conditions.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
@@ -37,8 +38,11 @@ TODD = (Fraction(1), Fraction(2), Fraction(11, 6), Fraction(1))
 
 
 def _rat(value: RationalInput) -> Fraction:
+    """``value`` as a Fraction; a string must be ``p`` or ``p/q`` (:func:`_parse_rational`)."""
     if isinstance(value, Fraction):
         return value
+    if isinstance(value, str):
+        return _parse_rational(value)
     return Fraction(value)
 
 
@@ -115,8 +119,6 @@ class ChernTruncation:
 
     def is_primitive(self) -> bool:
         """Whether the class is not a proper integer multiple of another."""
-        import math
-
         return math.gcd(*self.lattice_coords()) == 1
 
     def with_ch3(self, e: RationalInput) -> "ChernCharacter":
@@ -162,7 +164,7 @@ class ChernCharacter(ChernTruncation):
             return False
         if (6 * self.e).denominator != 1:
             return False
-        chi_against_structure = self.e + 2 * self.d + Fraction(11, 6) * self.c + self.r
+        chi_against_structure = self.e + TODD[1] * self.d + TODD[2] * self.c + TODD[3] * self.r
         return chi_against_structure.denominator == 1
 
 
@@ -213,16 +215,13 @@ def euler_pairing(a: ChernCharacter, b: ChernCharacter) -> Fraction:
     return p.e + TODD[1] * p.d + TODD[2] * p.c + TODD[3] * p.r
 
 
-def format_chern(ch: ChernCharacter) -> str:
-    """Serialize as ``"r,c,d,e"`` with components in lowest terms."""
-    return f"{ch.r},{ch.c},{ch.d},{ch.e}"
-
-
 def parse_chern(text: str) -> ChernCharacter:
-    """Parse the ``"r,c,d,e"`` serialization produced by :func:`format_chern`.
+    """Parse the ``"r,c,d,e"`` serialization that ``str`` of a character writes.
 
-    Raises :class:`ValueError` whose message points at the first offending
-    component and its character offset within ``text``.
+    Each component is ``p`` or ``p/q`` in the grammar of
+    :func:`_parse_rational`, with no surrounding whitespace.  Raises
+    :class:`ValueError` whose message points at the first offending component
+    and its character offset within ``text``.
     """
     parts = text.split(",")
     if len(parts) != 4:
@@ -231,11 +230,11 @@ def parse_chern(text: str) -> ChernCharacter:
     offset = 0
     for index, part in enumerate(parts):
         try:
-            values.append(_parse_rational(part.strip()))
+            values.append(_parse_rational(part))
         except ValueError:
             raise ValueError(
                 f"component {index + 1} at position {offset}: "
-                f"invalid rational {part.strip()!r}"
+                f"invalid rational {part!r}"
             ) from None
         offset += len(part) + 1
     return ChernCharacter(*values)

@@ -23,7 +23,6 @@ from .chern import (
     _parse_integer,
     _parse_rational,
     euler_pairing,
-    format_chern,
     from_resolution,
     parse_chern,
 )
@@ -100,17 +99,17 @@ def _add_region_options(parser: argparse.ArgumentParser) -> None:
 
 
 def _cmd_chern_twist(args: argparse.Namespace) -> int:
-    print(format_chern(args.ch.twist(args.beta)))
+    print(args.ch.twist(args.beta))
     return 0
 
 
 def _cmd_chern_dual(args: argparse.Namespace) -> int:
-    print(format_chern(args.ch.dual()))
+    print(args.ch.dual())
     return 0
 
 
 def _cmd_chern_resolve(args: argparse.Namespace) -> int:
-    print(format_chern(from_resolution(args.term)))
+    print(from_resolution(args.term))
     return 0
 
 

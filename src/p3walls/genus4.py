@@ -23,9 +23,9 @@ the second-largest wall:
 * the *planar sheaf* factor ``(0, 1, -11/2, 79/6)``, a torsion sheaf
   supported on a plane.
 
-The pair admits finitely many integral refinements obtained by sliding
-points between the two members; :func:`line_plane_refinements` enumerates
-them exactly.
+The pair admits finitely many integral refinements, obtained by moving
+points of the planar factor to the line; :func:`line_plane_refinements`
+lists them exactly.
 """
 
 from __future__ import annotations
@@ -109,17 +109,6 @@ def destabilizing_pairs() -> dict[Fraction, tuple[ChernCharacter, ChernCharacter
     }
 
 
-def rank_one_point_count(degree: int, e: Fraction | int) -> Fraction:
-    """Number of point modifications carried by a rank-one factor.
-
-    The 1-twist of the ideal sheaf of a genus-0 curve of the given degree
-    has third component ``3*degree - 7/6``; each point subtracted from the
-    sheaf lowers it by one, so the count is ``3*degree - 7/6 - e``.  A value
-    outside the nonnegative integers means no such sheaf exists.
-    """
-    return 3 * degree - Fraction(7, 6) - Fraction(e)
-
-
 def planar_point_count(plane_twist: int, e: Fraction | int) -> Fraction:
     """Number of point modifications carried by a planar factor.
 
@@ -152,31 +141,19 @@ class Refinement:
 def line_plane_refinements() -> list[Refinement]:
     """All integral refinements of the pair on the ``73/4`` wall.
 
-    Wall geometry fixes both truncations; the third components may slide as
-    long as they sum to the total and both point counts stay nonnegative
-    integers.  That leaves finitely many values, enumerated exactly, ordered
+    Wall geometry fixes both truncations; only the third components may
+    slide, by whole points.  The pure line carries no points and the pure
+    planar factor carries ``n``, so moving ``k`` of them to the line, for
+    ``k = n .. 0``, gives every split with both counts nonnegative, ordered
     by the third component of the rank-one member.
     """
-    total = canonical_class()
-    pure_line, pure_planar = third_wall_factors()
-    plane_twist = _plane_twist(pure_planar)
-    out = []
-    k = 0
-    while True:
-        e = pure_line.e - k
-        line_ch = ChernCharacter(pure_line.r, pure_line.c, pure_line.d, e)
-        planar_ch = total - line_ch
-        line_pts = rank_one_point_count(1, e)
-        planar_pts = planar_point_count(plane_twist, planar_ch.e)
-        if planar_pts < 0:
-            break
-        if not (line_ch.is_integral() and planar_ch.is_integral()):
-            raise ArithmeticError(f"refinement {k} is not integral: {line_ch}, {planar_ch}")
-        if line_pts != k or planar_pts.denominator != 1:
-            raise ArithmeticError(f"refinement {k} has point counts {line_pts}, {planar_pts}")
-        out.append(Refinement(line_ch, planar_ch, int(line_pts), int(planar_pts)))
-        k += 1
-    return sorted(out, key=lambda ref: ref.line_ch.e)
+    line, planar = third_wall_factors()
+    n = planar_point_count(_plane_twist(planar), planar.e)
+    if n.denominator != 1 or n < 0:
+        raise ArithmeticError(f"the planar factor {planar} carries {n} points")
+    point = ChernCharacter(0, 0, 0, 1)
+    return [Refinement(line - k * point, planar + k * point, k, int(n) - k)
+            for k in range(int(n), -1, -1)]
 
 
 class Stratum(enum.Enum):
@@ -263,25 +240,21 @@ def euler_table() -> dict[tuple[str, str], int]:
     return table
 
 
-def ext_table(stratum: Stratum) -> dict[tuple[str, str], ExtProfile]:
-    """Ext dimension table for one incidence stratum.
+def ext_table(
+    stratum: Stratum, chi: dict[tuple[str, str], int]
+) -> dict[tuple[str, str], ExtProfile]:
+    """Ext dimension table for one incidence stratum, given :func:`euler_table`.
 
     Every ``hom``, ``ext3`` and ``ext1`` entry except the stratum-dependent
     one is read from :data:`EXT_ASSUMPTIONS`, the only place the recorded
     Ext dimensions live (a factor's ``ext1`` with itself is the dimension of
     its family, ``line_family_dim`` and ``planar_factor_moduli_dim`` in
     :func:`exceptional_ledger`).  Each complete entry's
-    ``ext2`` is then forced by the computed Euler pairing.  The
+    ``ext2`` is then forced by its Euler pairing in ``chi``.  The
     ``(line, planar)`` entry has the incidence defect as ``ext1`` and keeps
     ``ext2`` and ``ext3`` undetermined: only ``ext2 - ext3`` is pinned, see
     :func:`validate_ext_table`.
     """
-    return _ext_table(stratum, euler_table())
-
-
-def _ext_table(
-    stratum: Stratum, chi: dict[tuple[str, str], int]
-) -> dict[tuple[str, str], ExtProfile]:
     recorded = {(a, b, group): dim for a, b, group, dim in EXT_ASSUMPTIONS}
     table = {}
     for key in ((LINE_FACTOR, LINE_FACTOR), (PLANAR_FACTOR, PLANAR_FACTOR),
@@ -298,19 +271,15 @@ def _ext_table(
     return table
 
 
-def validate_ext_table(table: dict[tuple[str, str], ExtProfile]) -> list[dict]:
-    """Check every profile against the exact Euler pairing.
+def validate_ext_table(
+    table: dict[tuple[str, str], ExtProfile], chi: dict[tuple[str, str], int]
+) -> list[dict]:
+    """Check every profile against its exact Euler pairing in ``chi``.
 
     Complete profiles must reproduce the pairing by alternating sum; for
     incomplete ones the pairing pins the difference ``ext2 - ext3``, which
     is reported as an inferred relation rather than silently dropped.
     """
-    return _validate_ext_table(table, euler_table())
-
-
-def _validate_ext_table(
-    table: dict[tuple[str, str], ExtProfile], chi: dict[tuple[str, str], int]
-) -> list[dict]:
     results = []
     for key, profile in table.items():
         expected = chi[key]
@@ -484,18 +453,14 @@ def exceptional_ledger() -> list[LedgerEntry]:
     ]
 
 
-def narrative() -> list[dict]:
+def narrative(ledger: list[LedgerEntry]) -> list[dict]:
     """The geometric conclusions, each tagged by how it is supported here.
 
     Dimension arithmetic distinguishes a divisorial contraction from a small
     one; the failure of Q-factoriality is a recorded input that the numbers
     are consistent with but do not prove.  The dimensions are read from
-    :func:`exceptional_ledger`.
+    ``ledger``, as built by :func:`exceptional_ledger`.
     """
-    return _narrative(exceptional_ledger())
-
-
-def _narrative(ledger: list[LedgerEntry]) -> list[dict]:
     dims = {entry.name: entry.value for entry in ledger}
     moduli = dims["wall_side_moduli_dim"]
     exceptional = dims["exceptional_divisor_dim"]
@@ -544,7 +509,7 @@ def _report_data() -> dict:
     pairs = {r: [str(sub), str(quot)] for r, (sub, quot) in destabilizing_pairs().items()}
     chi = euler_table()
     ledger = exceptional_ledger()
-    tables = {s.value: _ext_table(s, chi) for s in Stratum}
+    tables = {s.value: ext_table(s, chi) for s in Stratum}
     return {
         "schema": SCHEMA,
         "class": str(canonical_class()),
@@ -565,9 +530,9 @@ def _report_data() -> dict:
         "ext_assumptions": [
             {"pair": [a, b], "group": group, "dim": dim} for a, b, group, dim in EXT_ASSUMPTIONS
         ],
-        "ext_validations": {name: _validate_ext_table(t, chi) for name, t in tables.items()},
+        "ext_validations": {name: validate_ext_table(t, chi) for name, t in tables.items()},
         "ledger": [vars(entry) for entry in ledger],
-        "narrative": _narrative(ledger),
+        "narrative": narrative(ledger),
         "consistency": cohomology_consistency(),
     }
 

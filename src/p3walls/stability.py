@@ -18,50 +18,25 @@ rational parameter ``s > 0``::
 and the associated slope is ``lambda = -Re Z / Im Z`` (again ``+infinity``
 when the imaginary part vanishes).
 
-Slope functions return either a :class:`fractions.Fraction` or the
-:data:`INFINITY` sentinel, which compares strictly greater than every
-rational.
+Slope functions return either a :class:`fractions.Fraction` or the one
+object :data:`INFINITY` ``= math.inf``, which compares strictly greater than
+every rational: :class:`~fractions.Fraction` compares with an infinite float
+exactly, without rounding the rational.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
 from .chern import ChernCharacter, ChernTruncation, RationalInput, _rat
 
+#: The infinite slope; the slope functions return this one object.
+INFINITY = math.inf
 
-class _Infinity:
-    """Positive infinity for slope comparisons; a single shared instance."""
-
-    __slots__ = ()
-
-    def __lt__(self, other: object) -> bool:
-        return False
-
-    def __le__(self, other: object) -> bool:
-        return other is INFINITY
-
-    def __gt__(self, other: object) -> bool:
-        return other is not INFINITY
-
-    def __ge__(self, other: object) -> bool:
-        return True
-
-    def __eq__(self, other: object) -> bool:
-        return other is INFINITY
-
-    def __hash__(self) -> int:
-        return hash("p3walls-infinity")
-
-    def __repr__(self) -> str:
-        return "INFINITY"
-
-
-INFINITY = _Infinity()
-
-ExtendedRational = Fraction | _Infinity
+ExtendedRational = Fraction | float
 
 
 @dataclass(frozen=True)

@@ -613,11 +613,6 @@ def _orient_pair(a: tuple, b: tuple) -> tuple:
     return (a, b) if a <= b else (b, a)
 
 
-def _truncation(member: tuple) -> ChernTruncation:
-    r, c, D = member
-    return ChernTruncation(Fraction(r), Fraction(c), Fraction(D, 2))
-
-
 def _build_walls(ctx: _WallContext, pairs: Iterable) -> list[WallCandidate]:
     """The walls of the kept pairs of :func:`_row_walls`, outermost first.
 
@@ -637,8 +632,10 @@ def _build_walls(ctx: _WallContext, pairs: Iterable) -> list[WallCandidate]:
         keyed.append((radius_sq, (-r, -c, -D), sub, quotient, K2, m))
     keyed.sort(reverse=True)  # descending rho^2, then ascending sub
     return [
-        WallCandidate(Circle(Fraction(K2, m), radius_sq), _truncation(sub), _truncation(quotient))
-        for radius_sq, _, sub, quotient, K2, m in keyed
+        WallCandidate(Circle(Fraction(K2, m), radius_sq),
+                      ChernTruncation(Fraction(r), Fraction(c), Fraction(D, 2)),
+                      ChernTruncation(Fraction(rq), Fraction(cq), Fraction(Dq, 2)))
+        for radius_sq, _, (r, c, D), (rq, cq, Dq), K2, m in keyed
     ]
 
 

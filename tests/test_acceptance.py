@@ -95,10 +95,10 @@ def test_criterion_05_euler_table_and_ext_validation():
     assert recorded[(P, P, "ext1")] == 7
     assert recorded[(P, L, "ext1")] == 18
     for stratum in genus4.Stratum:
-        ext = genus4.ext_table(stratum)
+        ext = genus4.ext_table(stratum, table)
         assert ext[(L, P)].ext1 == stratum.incidence_defect  # stratified 0/1/2
         assert ext[(P, P)].ext2 == 4
-        assert all(check["ok"] for check in genus4.validate_ext_table(ext))
+        assert all(check["ok"] for check in genus4.validate_ext_table(ext, table))
 
 
 def test_criterion_06_refinement_enumeration():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -11,12 +12,13 @@ from p3walls.chern import (
     ChernTruncation,
     curve_ideal_ch,
     euler_pairing,
-    format_chern,
     from_resolution,
     line_bundle_ch,
     parse_chern,
     product,
 )
+from p3walls.stability import TiltPoint
+from p3walls.walls import Region
 
 rationals = st.fractions(min_value=-10, max_value=10, max_denominator=12)
 small_ints = st.integers(min_value=-9, max_value=9)
@@ -48,7 +50,7 @@ def test_complete_intersection_class():
     ch = from_resolution([(-2, 1), (-3, 1), (-5, -1)])
     assert ch == curve_ideal_ch(6, 4)
     assert ch == ChernCharacter(1, 0, -6, 15)
-    assert format_chern(ch) == "1,0,-6,15"
+    assert str(ch) == "1,0,-6,15"
 
 
 def test_line_bundle_values():
@@ -58,7 +60,7 @@ def test_line_bundle_values():
 
 
 def test_known_twist():
-    assert format_chern(parse_chern("1,0,-6,15").twist(-4)) == "1,4,2,5/3"
+    assert str(parse_chern("1,0,-6,15").twist(-4)) == "1,4,2,5/3"
 
 
 def test_twist_of_line_bundle_is_line_bundle():
@@ -144,7 +146,7 @@ def test_with_ch3_round_trip():
 
 @given(integral_characters())
 def test_parse_format_round_trip(ch):
-    assert parse_chern(format_chern(ch)) == ch
+    assert parse_chern(str(ch)) == ch
 
 
 def test_parse_rejects_wrong_arity():
@@ -169,6 +171,50 @@ def test_integrality_predicate():
     assert not ChernCharacter(1, 0, -6, Fraction(1, 2)).is_integral()
     # half-integer ch2 requires odd ch1
     assert not ChernCharacter(1, 0, Fraction(1, 2), 0).is_integral()
+
+
+@given(st.one_of(characters(), integral_characters()))
+def test_integrality_reads_the_todd_class(ch):
+    # the literal chi(O, ch) test that is_integral used before it read TODD
+    literal = (
+        ch.is_lattice()
+        and (6 * ch.e).denominator == 1
+        and (ch.e + 2 * ch.d + Fraction(11, 6) * ch.c + ch.r).denominator == 1
+    )
+    assert ch.is_integral() == literal
+
+
+RATIONAL_TAKERS = {
+    "ChernCharacter": lambda x: ChernCharacter(x, 0, 0, 0).r,
+    "Region": lambda x: Region(x, 10, 1).beta_min,
+    "TiltPoint": lambda x: TiltPoint(x, 1).beta,
+    "twist": lambda x: -line_bundle_ch(0).twist(x).c,
+    "line_bundle_ch": lambda x: line_bundle_ch(x).c,
+}
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["1e2000000", "0.5", "1_0", " 2", "\u0661\u0662"],
+    ids=["huge-exponent", "decimal", "underscore", "space", "non-ascii-digits"],
+)
+@pytest.mark.parametrize("take", list(RATIONAL_TAKERS.values()), ids=list(RATIONAL_TAKERS))
+def test_library_rationals_use_the_cli_grammar(take, text):
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match="invalid rational"):
+        take(text)
+    assert time.perf_counter() - start < 0.1
+
+
+@pytest.mark.parametrize("take", list(RATIONAL_TAKERS.values()), ids=list(RATIONAL_TAKERS))
+def test_library_rationals_accept_p_and_p_over_q(take):
+    assert take("3") == 3
+    assert take("-7/2") == Fraction(-7, 2)
+
+
+def test_parse_keeps_whitespace_out_of_components():
+    with pytest.raises(ValueError, match="component 2 at position 2: invalid rational ' 0'"):
+        parse_chern("1, 0, -6, 15")
 
 
 def test_arithmetic_and_scalar_multiple():

@@ -69,9 +69,6 @@ def test_third_wall_factors():
 
 
 def test_point_counts():
-    assert genus4.rank_one_point_count(1, Fraction(11, 6)) == 0
-    assert genus4.rank_one_point_count(2, Fraction(29, 6)) == 0
-    assert genus4.rank_one_point_count(1, Fraction(5, 6)) == 1
     assert genus4.planar_point_count(5, Fraction(79, 6)) == 2
     assert genus4.planar_point_count(5, Fraction(85, 6)) == 1
     assert genus4.planar_point_count(0, Fraction(1, 6)) == 0
@@ -91,6 +88,44 @@ def test_line_plane_refinements():
         assert ref.line_ch.is_integral() and ref.planar_ch.is_integral()
 
 
+def _searched_refinements() -> list[genus4.Refinement]:
+    """The search loop that ``line_plane_refinements`` replaced: take points
+    off the pure line one at a time, with the rank-one count
+    ``3 deg - 7/6 - e`` for a degree-1 curve, until the planar count goes
+    negative."""
+    total = genus4.canonical_class()
+    pure_line, pure_planar = genus4.third_wall_factors()
+    plane_twist = genus4._plane_twist(pure_planar)
+    out = []
+    k = 0
+    while True:
+        e = pure_line.e - k
+        line_ch = ChernCharacter(pure_line.r, pure_line.c, pure_line.d, e)
+        planar_ch = total - line_ch
+        line_pts = 3 * 1 - Fraction(7, 6) - e
+        planar_pts = genus4.planar_point_count(plane_twist, planar_ch.e)
+        if planar_pts < 0:
+            break
+        assert line_ch.is_integral() and planar_ch.is_integral()
+        assert line_pts == k and planar_pts.denominator == 1
+        out.append(genus4.Refinement(line_ch, planar_ch, int(line_pts), int(planar_pts)))
+        k += 1
+    return sorted(out, key=lambda ref: ref.line_ch.e)
+
+
+def test_line_plane_refinements_match_the_search_loop():
+    assert genus4.line_plane_refinements() == _searched_refinements()
+
+
+@pytest.mark.parametrize("extra_e", [Fraction(1, 2), Fraction(3)], ids=["fractional", "negative"])
+def test_line_plane_refinements_reject_a_bad_point_count(monkeypatch, extra_e):
+    line, planar = genus4.third_wall_factors()
+    bad = (line, planar + ChernCharacter(0, 0, 0, extra_e))
+    monkeypatch.setattr(genus4, "third_wall_factors", lambda: bad)
+    with pytest.raises(ArithmeticError, match="carries"):
+        genus4.line_plane_refinements()
+
+
 def test_euler_table():
     table = genus4.euler_table()
     L, P = genus4.LINE_FACTOR, genus4.PLANAR_FACTOR
@@ -108,15 +143,16 @@ def test_euler_table_rejects_non_integral_pairing(monkeypatch):
 
 def test_ext_tables_match_euler_pairings():
     L, P = genus4.LINE_FACTOR, genus4.PLANAR_FACTOR
+    chi = genus4.euler_table()
     for stratum in genus4.Stratum:
-        table = genus4.ext_table(stratum)
+        table = genus4.ext_table(stratum, chi)
         assert table[(L, L)].ext1 == 4
         assert table[(P, P)].ext1 == 7
         assert table[(P, L)].ext1 == 18
         assert table[(P, P)].ext2 == 4
         assert table[(L, P)].ext1 == stratum.incidence_defect
         assert table[(L, P)].ext2 is None and table[(L, P)].ext3 is None
-        checks = genus4.validate_ext_table(table)
+        checks = genus4.validate_ext_table(table, chi)
         assert all(check["ok"] for check in checks)
         relations = [c for c in checks if c["kind"] == "inferred_relation"]
         assert len(relations) == 1
@@ -125,7 +161,7 @@ def test_ext_tables_match_euler_pairings():
 
 @pytest.mark.parametrize("stratum", list(genus4.Stratum), ids=lambda s: s.value)
 def test_ext_table_reads_every_recorded_dimension(stratum):
-    table = genus4.ext_table(stratum)
+    table = genus4.ext_table(stratum, genus4.euler_table())
     for a, b, group, dim in genus4.EXT_ASSUMPTIONS:
         assert getattr(table[(a, b)], group) == dim, (a, b, group)
 
@@ -137,15 +173,16 @@ def test_ext_table_follows_edited_assumptions(monkeypatch):
         for a, b, group, dim in genus4.EXT_ASSUMPTIONS
     )
     monkeypatch.setattr(genus4, "EXT_ASSUMPTIONS", edited)
-    profile = genus4.ext_table(genus4.Stratum.DISJOINT)[(L, L)]
+    profile = genus4.ext_table(genus4.Stratum.DISJOINT, genus4.euler_table())[(L, L)]
     assert (profile.hom, profile.ext1, profile.ext2, profile.ext3) == (1, 5, 1, 0)
 
 
 def test_validate_ext_table_flags_wrong_entry():
-    table = genus4.ext_table(genus4.Stratum.DISJOINT)
+    chi = genus4.euler_table()
+    table = genus4.ext_table(genus4.Stratum.DISJOINT, chi)
     L = genus4.LINE_FACTOR
     table[(L, L)] = genus4.ExtProfile(1, 5, 0, 0)
-    checks = genus4.validate_ext_table(table)
+    checks = genus4.validate_ext_table(table, chi)
     bad = [c for c in checks if not c["ok"]]
     assert len(bad) == 1 and bad[0]["pair"] == [L, L]
 
@@ -197,7 +234,7 @@ def test_exceptional_ledger_values():
 
 
 def test_narrative_statements():
-    story = genus4.narrative()
+    story = genus4.narrative(genus4.exceptional_ledger())
     statements = {item["statement"]: item["status"] for item in story}
     assert statements == {
         "divisorial contraction (ψ)": "computed",
@@ -206,14 +243,13 @@ def test_narrative_statements():
     }
 
 
-def test_narrative_reads_the_ledger(monkeypatch):
+def test_narrative_reads_the_ledger():
     ledger = [
         dataclasses.replace(entry, value=entry.value + 1)
         if entry.name == "small_locus_dim" else entry
         for entry in genus4.exceptional_ledger()
     ]
-    monkeypatch.setattr(genus4, "exceptional_ledger", lambda: ledger)
-    notes = {item["statement"]: item["note"] for item in genus4.narrative()}
+    notes = {item["statement"]: item["note"] for item in genus4.narrative(ledger)}
     assert notes["small contraction (φ)"] == (
         "contracted locus dimension 9 in the 24-dimensional wall-side moduli:"
         " codimension 15 >= 2"

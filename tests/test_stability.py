@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -47,11 +48,20 @@ def test_bridgeland_params_require_positive_s():
 
 
 def test_infinity_ordering():
+    assert INFINITY is math.inf
     assert INFINITY > Fraction(10**9)
     assert not INFINITY < Fraction(-5)
     assert INFINITY == INFINITY
     assert not INFINITY > INFINITY
     assert sorted([INFINITY, Fraction(3), Fraction(-1)]) == [Fraction(-1), Fraction(3), INFINITY]
+
+
+@given(st.one_of(st.fractions(), st.builds(Fraction, st.integers(-10**400, 10**400),
+                                            st.integers(1, 10**50))))
+def test_every_rational_is_below_infinity(x):
+    assert x < INFINITY
+    assert not INFINITY < x
+    assert x != INFINITY
 
 
 def test_twisted_slope_values():
