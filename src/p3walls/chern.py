@@ -38,12 +38,15 @@ TODD = (Fraction(1), Fraction(2), Fraction(11, 6), Fraction(1))
 
 
 def _rat(value: RationalInput) -> Fraction:
-    """``value`` as a Fraction; a string must be ``p`` or ``p/q`` (:func:`_parse_rational`)."""
+    """``value`` as a Fraction; a string must be ``p`` or ``p/q`` (:func:`_parse_rational`),
+    and anything but a :data:`RationalInput` is a :class:`ValueError`."""
     if isinstance(value, Fraction):
         return value
+    if isinstance(value, int):
+        return Fraction(value)
     if isinstance(value, str):
         return _parse_rational(value)
-    return Fraction(value)
+    raise ValueError(f"not a rational input (Fraction, int or str): {value!r}")
 
 
 @dataclass(frozen=True)

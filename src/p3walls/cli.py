@@ -43,8 +43,8 @@ from .stability import TiltPoint, bmt_form
 MAX_BOX_TRIPLES = 10**7
 #: Largest ``--brute-force`` box, counted in rows ``(r, c)``: each row is
 #: walked and clipped before the predicate sees it, so a thin box costs per
-#: row walked (999,999 rows of ``1,0,-6,15`` take about 0.5 s; a class with
-#: ``disc(v) < 0`` walks none).
+#: row walked (999,999 rows of ``1,0,-6,15`` take about 0.5 s; a wall-free
+#: class walks none).
 MAX_BOX_ROWS = 10**6
 
 

@@ -109,23 +109,24 @@ def destabilizing_pairs() -> dict[Fraction, tuple[ChernCharacter, ChernCharacter
     }
 
 
-def planar_point_count(plane_twist: int, e: Fraction | int) -> Fraction:
-    """Number of point modifications carried by a planar factor.
-
-    A plane sheaf that is the twist by ``-plane_twist`` of an ideal of
-    points pushes forward with third component
-    ``plane_twist (plane_twist + 1)/2 + 1/6 - count``; solve for the count.
-    """
-    i = plane_twist
-    return Fraction(i * (i + 1), 2) + Fraction(1, 6) - Fraction(e)
+def _integer(value: Fraction, what: str) -> int:
+    """``value`` as an int; :class:`ArithmeticError` naming ``what`` if it is not one."""
+    if value.denominator != 1:
+        raise ArithmeticError(f"{what} = {value} is not an integer")
+    return int(value)
 
 
-def _plane_twist(planar: ChernCharacter) -> int:
-    """The ``plane_twist`` of a planar factor: its second component is ``-plane_twist - 1/2``."""
-    twist = -planar.d - Fraction(1, 2)
-    if twist.denominator != 1:
-        raise ArithmeticError(f"{planar} is not a twisted ideal of points on a plane")
-    return int(twist)
+def planar_points(planar: ChernCharacter) -> int:
+    """The number ``n`` of points of a planar factor, the twist by ``-i`` of an
+    ideal of points on a plane: read ``i`` from ``d = -i - 1/2`` and ``n``
+    from ``e = i (i + 1)/2 + 1/6 - n``.  :class:`ArithmeticError` if either
+    is fractional or ``n < 0``."""
+    i = _integer(-planar.d - Fraction(1, 2), f"the plane twist of {planar}")
+    n = _integer(i * (i + 1) // 2 + Fraction(1, 6) - planar.e,
+                 f"the number of points the planar factor {planar} carries")
+    if n < 0:
+        raise ArithmeticError(f"the planar factor {planar} carries {n} points")
+    return n
 
 
 @dataclass(frozen=True)
@@ -148,12 +149,9 @@ def line_plane_refinements() -> list[Refinement]:
     by the third component of the rank-one member.
     """
     line, planar = third_wall_factors()
-    n = planar_point_count(_plane_twist(planar), planar.e)
-    if n.denominator != 1 or n < 0:
-        raise ArithmeticError(f"the planar factor {planar} carries {n} points")
+    n = planar_points(planar)
     point = ChernCharacter(0, 0, 0, 1)
-    return [Refinement(line - k * point, planar + k * point, k, int(n) - k)
-            for k in range(int(n), -1, -1)]
+    return [Refinement(line - k * point, planar + k * point, k, n - k) for k in range(n, -1, -1)]
 
 
 class Stratum(enum.Enum):
@@ -233,10 +231,7 @@ def euler_table() -> dict[tuple[str, str], int]:
     table = {}
     for a_name, a in named.items():
         for b_name, b in named.items():
-            value = euler_pairing(a, b)
-            if value.denominator != 1:
-                raise ArithmeticError(f"chi({a_name}, {b_name}) = {value} is not an integer")
-            table[(a_name, b_name)] = int(value)
+            table[(a_name, b_name)] = _integer(euler_pairing(a, b), f"chi({a_name}, {b_name})")
     return table
 
 
@@ -334,10 +329,7 @@ class LedgerEntry:
 @functools.lru_cache(maxsize=None)
 def _h0(twist: int) -> int:
     """Sections of a line bundle on projective 3-space, via the Euler pairing."""
-    value = euler_pairing(line_bundle_ch(0), line_bundle_ch(twist))
-    if value.denominator != 1:
-        raise ArithmeticError(f"h0(O({twist})) = {value} is not an integer")
-    return int(value)
+    return _integer(euler_pairing(line_bundle_ch(0), line_bundle_ch(twist)), f"h0(O({twist}))")
 
 
 def exceptional_ledger() -> list[LedgerEntry]:
@@ -368,17 +360,13 @@ def exceptional_ledger() -> list[LedgerEntry]:
     quadrics = _h0(QUADRIC) - 1
     cubics_on_quadric = _h0(CUBIC) - _h0(CUBIC - QUADRIC)
     first = proj_bundle_dim(quadrics, cubics_on_quadric)
-    chi_vv = euler_pairing(canonical_class(), canonical_class())
-    if chi_vv.denominator != 1:
-        raise ArithmeticError(f"chi(v, v) = {chi_vv} is not an integer")
-    smooth_moduli = 1 - int(chi_vv)
+    smooth_moduli = 1 - _integer(euler_pairing(canonical_class(), canonical_class()), "chi(v, v)")
     conics_in_plane = _h0(CONIC) - _h0(CONIC - 1) - 1  # sections on a plane, projectivized
     conics = space + conics_in_plane
     center = conics + space  # the residual factor is a twisted plane
     conic_ext = dims["conic_extension_space_dim"]
-    planar_factor = third_wall_factors()[1]
     # length-n subschemes: dimension 2n on a plane, n on a line
-    points = int(planar_point_count(_plane_twist(planar_factor), planar_factor.e))
+    points = planar_points(third_wall_factors()[1])
     planar = space + points * plane
     # the diagonal corners are the tangent dimensions of the factors' families
     conic_corners = (conics, space, dims["conic_planar_ext1"], conic_ext)

@@ -55,9 +55,10 @@ reaches the predicate.  The predicate decides the same tests from their
 definitions, on every triple it is handed, and reads nothing the walker
 builds.  The searches differ only in which rows they walk: the derived
 search visits each unordered pair ``{w, v - w}`` from one member.
-A class whose search cannot be certified finite is refused before any row
-is scanned; :func:`brute_force_walls` (``p3walls walls --brute-force``)
-scans an explicit box for it instead.
+A wall-free class (:attr:`_WallContext.wall_free`) walks none, in either
+search.  A class whose search cannot be certified finite is refused before
+any row is scanned; :func:`brute_force_walls` (``p3walls walls
+--brute-force``) scans an explicit box for it instead.
 """
 
 from __future__ import annotations
@@ -376,6 +377,22 @@ class _WallContext:
                 self.G1 * self.G1 - 4 * self.G0 * self.delta_g, 4 * self.delta_g * self.delta_g
             )
 
+    @property
+    def wall_free(self) -> bool:
+        """Whether ``v`` has no circle wall: ``disc(v) <= 0``, or ``r_v = 0``
+        with ``c_v <= 0``.  Both searches read this before walking any rank.
+
+        At the top ``(beta, alpha)`` of a wall every member ``x`` has
+        ``nu = 0``, so ``disc(x) = (c_x^beta)^2 - r_x^2 alpha^2``, and
+        admissibility with ``disc(x) >= 0`` gives ``c_x^beta >= |r_x| alpha``:
+        ``disc(v) >= ((|r_w| + |r_u|)^2 - (r_w + r_u)^2) alpha^2 >= 0``, with
+        equality only if ``c_w^beta / r_w = c_u^beta / r_u``, that is for
+        proportional members (``k1 = 0``), which meet on no circle.  For
+        ``r_v = 0``, ``im(v) = c_v`` at every ``beta``, and admissibility asks
+        ``0 < im(w) < im(v)``.
+        """
+        return self.delta <= 0 or (not self.rv and self.cv <= 0)
+
     @cached_property
     def region_ints(self) -> tuple[int, int, int, int, int]:
         """:func:`_region_ints` of the search region, read by the predicate."""
@@ -653,18 +670,12 @@ def brute_force_walls(
     admissibility tests cannot both hold (:func:`_admissible_rows`),
     off-lattice points and points that fail one of the predicate's linear
     tests or its circle test, so the oracle's walls are those of the whole
-    box.  The
-    oracle takes none of the derived search's rank, ``c`` or radius bounds.
-
-    A class with ``disc(v) < 0`` has no wall, so no row is walked.  At the
-    top ``(beta, alpha)``, ``alpha > 0``, of a wall both members have
-    ``nu = 0``, so ``disc(x) = (c_x^beta)^2 - r_x^2 alpha^2`` for
-    ``x = w, u`` and for ``v = w + u``.  Admissibility (``c_x^beta > 0``)
-    and ``disc(x) >= 0`` give ``c_x^beta >= |r_x| alpha``, so
-    ``disc(v) >= ((|r_w| + |r_u|)^2 - (r_w + r_u)^2) alpha^2 >= 0``.
+    box.  The oracle takes none of the derived search's rank, ``c`` or
+    radius bounds, and walks no row of a class
+    :attr:`_WallContext.wall_free` marks.
     """
     ctx = _WallContext(v, region)
-    if ctx.delta < 0:
+    if ctx.wall_free:
         return []
     found: set = set()
     t = bounds.two_d_max
@@ -821,19 +832,15 @@ def enumerate_tilt_walls(v: ChernCharacter, region: Region) -> list[WallCandidat
     an exact symmetry of the predicate, and its walls are mapped back
     (:func:`_mirror_wall`); the oracle takes no such step.
 
-    When no vacuity disc exists the outside-rank loop has no certified stop,
-    and a :class:`WallSearchError`, raised before any scan, asks for an
-    explicit box instead of guessing: :func:`brute_force_walls`, or
-    ``p3walls walls --brute-force``.  A nonpositive discriminant admits
-    no circle walls at all, so those return ``[]`` at once, as does a
-    rank-zero class with ``c_v <= 0``.  Zero forces any equal-slope pair
-    onto a vertical locus.  Negative cannot hold at a wall's top
-    ``(beta, alpha)``: there every member ``x`` has ``nu = 0``, so
-    ``disc(x) = (c_x^beta)^2 - r_x^2 alpha^2``, and admissibility with
-    ``disc(x) >= 0`` gives ``c_x^beta >= |r_x| alpha``, hence
-    ``disc(v) >= ((|r_w| + |r_u|)^2 - (r_w + r_u)^2) alpha^2 >= 0``.
+    A class :attr:`_WallContext.wall_free` marks returns ``[]`` at once.
+    Otherwise, when no vacuity disc exists the outside-rank loop has no
+    certified stop, and a :class:`WallSearchError`, raised before any scan,
+    asks for an explicit box instead of guessing: :func:`brute_force_walls`,
+    or ``p3walls walls --brute-force``.
     """
     ctx = _WallContext(v, region)  # a class off the lattice is named as given
+    if ctx.wall_free:
+        return []
     if ctx.rv < 0:
         mirror = Region(-region.beta_max, -region.beta_min, region.alpha_sq_max)
         return _build_walls(ctx, map(_mirror_wall, _derived_walls(_WallContext(-v.dual(), mirror))))
@@ -850,8 +857,9 @@ def _mirror_wall(pair: tuple) -> tuple:
 
 
 def _derived_walls(ctx: _WallContext) -> set:
-    """The derived-bound search of :func:`enumerate_tilt_walls` for ``r_v >= 0``:
-    the kept pairs of :func:`_row_walls`.
+    """The derived-bound search of :func:`enumerate_tilt_walls` for ``r_v >= 0``
+    and a class that is not :attr:`_WallContext.wall_free`: the kept pairs of
+    :func:`_row_walls`.
 
     One member per pair: the ranks ``k = 0 .. r_v // 2`` at the middle cap
     ``(disc(v) / (2 g))^2``, ``g = r_v gap``, then the outside ranks ``-e``.
@@ -867,10 +875,6 @@ def _derived_walls(ctx: _WallContext) -> set:
       and ``rho <= (disc(v) - c^2) / (2 c r_v) < disc(v) / (2 r_v)``: the
       cap at ``k = 0``, where ``g = r_v``.
     """
-    if ctx.delta <= 0:
-        return []
-    if ctx.rv == 0 and ctx.cv <= 0:
-        return []  # the imaginary part of v is c_v everywhere: no admissible tops
     t_stop = _vacuity_radius_cap(ctx)
     if t_stop <= 0:
         if ctx.rv == 0:

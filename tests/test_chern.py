@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import time
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -17,7 +18,7 @@ from p3walls.chern import (
     parse_chern,
     product,
 )
-from p3walls.stability import TiltPoint
+from p3walls.stability import INFINITY, TiltPoint
 from p3walls.walls import Region
 
 rationals = st.fractions(min_value=-10, max_value=10, max_denominator=12)
@@ -204,6 +205,20 @@ def test_library_rationals_use_the_cli_grammar(take, text):
     with pytest.raises(ValueError, match="invalid rational"):
         take(text)
     assert time.perf_counter() - start < 0.1
+
+
+@pytest.mark.parametrize(
+    "value",
+    [0.1, INFINITY, float("nan"), Decimal("0.5")],
+    ids=["float", "infinity", "nan", "decimal"],
+)
+@pytest.mark.parametrize("take", list(RATIONAL_TAKERS.values()), ids=list(RATIONAL_TAKERS))
+def test_library_rationals_refuse_other_types(take, value):
+    # only a RationalInput (Fraction, int or str) is read; a float is never converted
+    with pytest.raises(ValueError, match="not a rational input"):
+        take(value)
+    assert take(3) == 3
+    assert take(Fraction(-7, 2)) == Fraction(-7, 2)
 
 
 @pytest.mark.parametrize("take", list(RATIONAL_TAKERS.values()), ids=list(RATIONAL_TAKERS))

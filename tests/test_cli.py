@@ -108,16 +108,18 @@ def test_refused_class_goes_through_brute_force(capsys, monkeypatch):
 
 
 def test_negative_discriminant_thin_box_is_answered_at_once(capsys):
-    # the largest accepted thin box: a class with disc(v) < 0 walks none of its rows
-    start = time.perf_counter()
-    code, out, err = invoke(
-        capsys,
-        "walls", "--v=1,0,1,0", "--brute-force",
-        "--r-max", "49", "--c-max", "5050", "--two-d-max", "0",
-    )
-    elapsed = time.perf_counter() - start
-    assert (code, out.strip(), err) == (0, "(no walls)", "")
-    assert elapsed < 0.1
+    # the largest accepted thin box: a wall-free class (disc(v) < 0, disc(v) = 0,
+    # or rank zero with c_v <= 0) walks none of its rows
+    for v in ("1,0,1,0", "1,0,0,0", "0,-1,1/2,0"):
+        start = time.perf_counter()
+        code, out, err = invoke(
+            capsys,
+            "walls", f"--v={v}", "--brute-force",
+            "--r-max", "49", "--c-max", "5050", "--two-d-max", "0",
+        )
+        elapsed = time.perf_counter() - start
+        assert (code, out.strip(), err) == (0, "(no walls)", ""), v
+        assert elapsed < 0.1, v
 
 
 def test_walls_empty(capsys):

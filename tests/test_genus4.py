@@ -69,9 +69,13 @@ def test_third_wall_factors():
 
 
 def test_point_counts():
-    assert genus4.planar_point_count(5, Fraction(79, 6)) == 2
-    assert genus4.planar_point_count(5, Fraction(85, 6)) == 1
-    assert genus4.planar_point_count(0, Fraction(1, 6)) == 0
+    assert genus4.planar_points(ChernCharacter(0, 1, Fraction(-11, 2), Fraction(79, 6))) == 2
+    assert genus4.planar_points(ChernCharacter(0, 1, Fraction(-11, 2), Fraction(85, 6))) == 1
+    assert genus4.planar_points(ChernCharacter(0, 1, Fraction(-1, 2), Fraction(1, 6))) == 0
+    for bad in [ChernCharacter(0, 1, -5, 0), ChernCharacter(0, 1, Fraction(-11, 2), Fraction(79, 6) + 3),
+                ChernCharacter(0, 1, Fraction(-11, 2), Fraction(79, 6) + Fraction(1, 2))]:
+        with pytest.raises(ArithmeticError):
+            genus4.planar_points(bad)
 
 
 def test_line_plane_refinements():
@@ -91,11 +95,12 @@ def test_line_plane_refinements():
 def _searched_refinements() -> list[genus4.Refinement]:
     """The search loop that ``line_plane_refinements`` replaced: take points
     off the pure line one at a time, with the rank-one count
-    ``3 deg - 7/6 - e`` for a degree-1 curve, until the planar count goes
-    negative."""
+    ``3 deg - 7/6 - e`` for a degree-1 curve, until the planar count
+    ``i (i + 1)/2 + 1/6 - e`` of plane twist ``i`` goes negative."""
     total = genus4.canonical_class()
     pure_line, pure_planar = genus4.third_wall_factors()
-    plane_twist = genus4._plane_twist(pure_planar)
+    i = -pure_planar.d - Fraction(1, 2)  # the plane twist
+    assert i.denominator == 1
     out = []
     k = 0
     while True:
@@ -103,7 +108,7 @@ def _searched_refinements() -> list[genus4.Refinement]:
         line_ch = ChernCharacter(pure_line.r, pure_line.c, pure_line.d, e)
         planar_ch = total - line_ch
         line_pts = 3 * 1 - Fraction(7, 6) - e
-        planar_pts = genus4.planar_point_count(plane_twist, planar_ch.e)
+        planar_pts = i * (i + 1) / 2 + Fraction(1, 6) - planar_ch.e
         if planar_pts < 0:
             break
         assert line_ch.is_integral() and planar_ch.is_integral()
@@ -124,6 +129,8 @@ def test_line_plane_refinements_reject_a_bad_point_count(monkeypatch, extra_e):
     monkeypatch.setattr(genus4, "third_wall_factors", lambda: bad)
     with pytest.raises(ArithmeticError, match="carries"):
         genus4.line_plane_refinements()
+    with pytest.raises(ArithmeticError, match="carries"):
+        genus4.exceptional_ledger()
 
 
 def test_euler_table():

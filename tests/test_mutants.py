@@ -44,10 +44,13 @@ DERIVED = [
     ChernCharacter(1, 0, -6, 0),
 ]
 
-#: Box scans: the headline class, the rank-zero golden's box and a negative rank.
+#: Box scans: the headline class, the rank-zero golden's box, the planar
+#: factor of the headline class (rank zero, disc(v) = c_v = 1, one wall of
+#: squared radius 1/4, refused by the derived search) and a negative rank.
 ORACLE = [
     (V, walls_module.SearchBounds(3, 10, 40)),
     (RANK_ZERO, walls_module.SearchBounds(5, 20, 100)),
+    (ChernCharacter(0, 1, Fraction(-11, 2), Fraction(79, 6)), walls_module.SearchBounds(5, 20, 100)),
     (ChernCharacter(-2, -6, -3, 19), walls_module.SearchBounds(3, 8, 30)),
     (ChernCharacter(3, -2, -1, Fraction(8, 3)), walls_module.SearchBounds(3, 8, 30)),
 ]
@@ -161,6 +164,13 @@ EXPECTED = {name: check(walls_module) for name, check in CHECKS.items()}
 #: and both walkers cut ``quarter = 0`` by strict tests first, so no search
 #: can see it.
 MUTANTS = [
+    # the wall-free gate, widened to classes that have walls
+    ("gate widened to disc(v) = 1",
+     "self.delta <= 0 or", "self.delta <= 1 or",
+     ["oracle walls"]),
+    ("rank-zero gate widened to c_v = 1",
+     "not self.rv and self.cv <= 0", "not self.rv and self.cv <= 1",
+     ["oracle walls"]),
     # the circle test of the row walker
     ("gap root rounded outward",
      "s = math.isqrt(sq * k1 * k1)", "s = math.isqrt(sq * k1 * k1) + 1",

@@ -1674,20 +1674,37 @@ NEGATIVE_DISC_TOTALS = [
 ]
 
 
-@pytest.mark.parametrize("total", NEGATIVE_DISC_TOTALS, ids=str)
+#: Every class the wall-free gate marks: disc(v) < 0, disc(v) = 0 (ranks 1,
+#: 2, -1, 3) and rank zero with c_v <= 0.
+WALL_FREE_TOTALS = NEGATIVE_DISC_TOTALS + [
+    ChernCharacter(1, 0, 0, 0),
+    ChernCharacter(2, 2, 1, Fraction(1, 3)),
+    ChernCharacter(-1, 0, 0, 0),
+    ChernCharacter(3, -3, Fraction(3, 2), 0),
+    ChernCharacter(0, -1, Fraction(1, 2), 0),
+    ChernCharacter(0, -2, -3, 0),
+    ChernCharacter(0, 0, 1, 0),
+]
+
+
+@pytest.mark.parametrize("total", WALL_FREE_TOTALS, ids=str)
 def test_negative_discriminant_box_walks_no_rank(total, monkeypatch):
+    # both searches read the wall-free gate before walking any rank
     def walk_rank(*args):
-        raise AssertionError("walked a rank of a class with disc(v) < 0")
+        raise AssertionError("walked a rank of a wall-free class")
 
     monkeypatch.setattr(walls_module, "_walk_rank", walk_rank)
+    assert walls_module._WallContext(total, REGION).wall_free
     assert brute_force_walls(total, REGION, SearchBounds(3, 8, 30)) == []
     assert brute_force_walls(total, WIDE_REGION, SearchBounds(3, 8, 30)) == []
+    assert enumerate_tilt_walls(total, REGION) == []
+    assert enumerate_tilt_walls(total, WIDE_REGION) == []
 
 
 def test_negative_discriminant_whole_rows_keep_nothing():
     # The predicate alone, on whole step-1 rows no walker clipped.
     assert len(NEGATIVE_DISC_TOTALS) > 20
-    for total in NEGATIVE_DISC_TOTALS:
+    for total in WALL_FREE_TOTALS:
         assert _whole_row_walls(total, WIDE_REGION, SearchBounds(3, 8, 40)) == [], total
 
 
