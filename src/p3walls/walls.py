@@ -46,15 +46,15 @@ Both searches decide the predicate one row ``(r, c)`` at a time, computing
 what depends only on the row once (:func:`_row_walls`), and both walk each
 member rank's rows once (:func:`_walk_rank`), clipping each row's window to
 the lattice points that pass five of the predicate's tests: the four linear
-in ``2d`` and the circle test.  The walker skips the side of ``k1 = 0`` on
-which the two admissibility tests cannot both hold
-(:func:`_admissible_rows`), and sets the tests up once per rank as
-half-lines and a gap in ``2d``, so a row costs at most five divisions and
-one integer square root, and a row whose clipped window is empty never
-reaches the predicate.  The predicate decides the same tests from their
-definitions, on every triple it is handed, and reads nothing the walker
-builds.  The searches differ only in which rows they walk: the derived
-search visits each unordered pair ``{w, v - w}`` from one member.
+in ``2d`` and the circle test.  The walker walks only the rows on which the
+two admissibility tests can both hold, on each side of ``k1 = 0``
+(:func:`_admissible_rows`), and sets the five tests up once per side as
+half-lines in ``2d``, none of them constant, so a row costs at most five
+divisions and one integer square root, and a row whose clipped window is
+empty never reaches the predicate.  The predicate decides the same tests
+from their definitions, on every triple it is handed, and reads nothing
+the walker builds.  The searches differ only in which rows they walk: the
+derived search visits each unordered pair ``{w, v - w}`` from one member.
 A wall-free class (:attr:`_WallContext.wall_free`) walks none, in either
 search.  A class whose search cannot be certified finite is refused before
 any row is scanned; :func:`brute_force_walls` (``p3walls walls
@@ -412,81 +412,107 @@ class _WallContext:
         return self.mu - _sqrt_bounds(Fraction(self.delta, self.rv * self.rv))[0]
 
 
-def _admissible_rows(ctx: _WallContext, r: int, cs: range) -> range:
+def _admissible_rows(ctx: _WallContext, r: int, cs: range) -> tuple[range, range]:
     """The rows of ``cs`` (a step-1 range) of member rank ``r`` that can hold
-    an admissible pair: all of them, less one side of ``k1 = 0``
-    (``k1 = r_v c - r c_v``) when ``r_v != 0`` and ``r`` is outside
-    ``[0, r_v]``.
+    an admissible pair, as two step-1 ranges: those where
+    ``k1 = r_v c - r c_v`` is negative and those where it is positive.  A
+    row with ``k1 = 0``, whose pairs meet on no circle, is in neither.
 
     At every ``beta`` the imaginary parts ``im(x) = c_x - r_x beta`` of
     ``w = (r, c, d)`` and ``u = v - w`` satisfy
-    ``r_u im(w) - r im(u) = r_u c - r c_u = k1``, whatever ``d``.
-    Admissibility asks both to be positive at the top of the circle.  When
-    ``r`` and ``r_u = r_v - r`` have opposite signs, ``r_u im(w) - r im(u)``
-    then has the sign of ``r_u``, so no row whose ``k1`` has the sign of
-    ``r`` holds an admissible ``2d``: its window is empty, and the walker
-    hands the predicate exactly what it would without the cut.  That side
-    is one end of ``cs``, cut off at ``c = r c_v / r_v``.  The identity also
-    empties one side of ``r = 0``, of ``r = r_v`` and, for ``r_v = 0``, of
-    every rank; those rows are walked, and a constant test skips each.
+    ``r_u im(w) - r im(u) = r_u c - r c_u = k1``, whatever ``d``, and
+    admissibility asks both to be positive at the top of the circle.  So
+    ``k1 < 0`` needs ``r > 0`` or ``r_u < 0``, and ``k1 > 0`` needs
+    ``r_u > 0`` or ``r < 0``.  For ``r_v != 0`` the sides meet at
+    ``c = r c_v / r_v``, and a rank outside ``[0, r_v]`` keeps one of them.
+    So do ``r = 0``, where ``im(w) = c`` and the side kept is ``c >= 1``,
+    and ``r = r_v``, where ``im(u) = c_v - c`` and it is ``c <= c_v - 1``.
 
-    In the walker's terms the two admissibility half-lines bound ``2d``
-    from opposite ends there, and they meet only where
-    ``q(c) = a_l b_u(c) - a_u b_l(c) <= 0``; on the side of the sign of
-    ``r``, ``q(c) = |r_v| (2 k1^2 + |r| + |r_u|) > 0``.
+    For ``r_v = 0``, ``k1 = -r c_v`` does not depend on ``c``: rank ``0``
+    keeps no row, and every other rank keeps one side.  Every circle is then
+    centered at ``C = D_v / (2 c_v)``, the ``beta`` of its top, where
+    ``im(w) = c - r C`` and ``im(u) = c_v - c + r C``: a rank keeps the rows
+    ``r C < c < c_v + r C``, none when ``c_v <= 0``.
+
+    A class with ``r_v != 0`` and ``disc(v) < 0`` keeps no row: every
+    circle's top then has ``alpha^2 = quarter / m^2 > 0``
+    (:func:`_walk_rank`), and the argument of
+    :attr:`_WallContext.wall_free` finds no admissible pair there whose
+    members have nonnegative discriminant.
+
+    So no dropped row holds a ``2d`` that passes the admissibility tests
+    and both discriminant tests, and the walker hands the predicate exactly
+    what it would without the cuts.  On a kept row every test whose
+    coefficient in ``2d`` vanishes (:func:`_walk_rank`) holds: for
+    ``r = 0`` these are ``im(w) > 0`` and ``disc(w) = c^2 >= 0``, for
+    ``r = r_v`` the same of ``u``, and for ``r_v = 0`` the two
+    admissibility tests.
     """
-    rv, rcv = ctx.rv, r * ctx.cv
-    if not rv or r * (rv - r) >= 0:
-        return cs
-    if r * rv < 0:  # drop c < r c_v / r_v, where k1 has the sign of -r_v, that of r
-        return range(max(cs.start, -(-rcv // rv)), cs.stop)
-    return range(cs.start, min(cs.stop, rcv // rv + 1))  # drop c > r c_v / r_v
+    rv, cv, none = ctx.rv, ctx.cv, cs[:0]
+    ru = rv - r
+    if rv:
+        if ctx.delta < 0:
+            return none, none
+        left = range(cs.start, min(cs.stop, -(-r * cv // rv)))  # c < r c_v / r_v
+        right = range(max(cs.start, r * cv // rv + 1), cs.stop)  # c > r c_v / r_v
+        below, above = (left, right) if rv > 0 else (right, left)
+    else:  # r C < c < c_v + r C at the center C = D_v / (2 c_v)
+        rD, cc = r * ctx.Dv, 2 * cv
+        below = above = (range(max(cs.start, rD // cc + 1), min(cs.stop, cv - (-rD // cc)))
+                         if cv > 0 else none)
+    return (below if r > 0 or ru < 0 else none), (above if ru > 0 or r < 0 else none)
 
 
 def _walk_rank(ctx: _WallContext, sink: set, r: int, cs: range, ends: tuple, den: int) -> None:
     """Hand :func:`_row_walls` the survivors of every row ``c`` in ``cs`` (a
     step-1 range) of member rank ``r``, walking each row once.
 
-    Only the rows :func:`_admissible_rows` keeps are walked.  The window of
-    row ``c`` runs from ``ceil(min(x) / den)`` to ``floor(max(x) / den)``
-    over ``x = e c + f`` for the two ``(e, f)`` of ``ends``, ``den > 0``.
-    It is clipped to the ``D = 2d`` that pass five of the predicate's
-    tests, set up once at the top for the whole rank.
+    Only the rows :func:`_admissible_rows` keeps are walked, one side of
+    ``k1 = r_v c - r c_v = 0`` after the other.  The window of row ``c``
+    runs from ``ceil(min(x) / den)`` to ``floor(max(x) / den)`` over
+    ``x = e c + f`` for the two ``(e, f)`` of ``ends``, ``den > 0``.  It is
+    clipped to the ``D = 2d`` that pass five of the predicate's tests.  On
+    each side, with ``s = sign(k1)`` fixed, all five are half-lines
+    ``a D >= b`` whose ``a`` does not depend on the row, so which of them
+    bound ``D`` from below and which from above is sorted once per side,
+    and a row adds only its ``b``, each a few products, and one floor or
+    ceiling division per half-line.  The circle test's ``b`` needs an
+    integer square root, so it comes last, on a window the four linear
+    tests left non-empty.
 
-    *Linear tests.*  On a row with ``k1 = r_v c - r c_v != 0`` the top of the
-    circle is ``beta = K2 / m`` with ``m = 2 k1`` and ``K2 = r_v D - r D_v``.
-    Scaled by ``|m| > 0``, the imaginary part there of a member ``x`` is
-    ``|m| c_x - s r_x K2``, ``s = sign(k1)``, affine in ``D``, and
-    admissibility ``0 < im(w) < im(v)`` is ``im(w) > 0`` and ``im(u) > 0``
-    for ``w = (r, c, D/2)`` and ``u = v - w`` (strict, so ``b`` carries a
-    ``+ 1``).  The member discriminants are ``c^2 - r D >= 0`` and
-    ``c_u^2 - r_u (D_v - D) >= 0``.  These four are half-lines ``a D >= b``
-    with ``a = (-s r_v r, -s r_v r_u, -r, r_u)``, which depends on the row
-    only through ``s``, so the half-lines bounding ``D`` from below, from
-    above and those whose ``a`` vanishes are sorted once for each sign.  The
-    right-hand sides ``1 - s (2 k1 c + r^2 D_v)``, ``1 - s (2 k1 c_u + r r_u
-    D_v)``, ``-c^2`` and ``r_u D_v - c_u^2`` cost a few products per row.
-    Each half-line is one floor or ceiling division; a zero ``a`` leaves a
-    constant test, which skips the row when it fails, as does ``k1 = 0``,
-    where the predicate rejects the whole row.
+    *Linear tests.*  The top of the circle is ``beta = K2 / m`` with
+    ``m = 2 k1`` and ``K2 = r_v D - r D_v``.  Scaled by ``|m| > 0``, the
+    imaginary part there of a member ``x`` is ``|m| c_x - s r_x K2``, affine
+    in ``D``, and admissibility ``0 < im(w) < im(v)`` is ``im(w) > 0`` and
+    ``im(u) > 0`` for ``w = (r, c, D/2)`` and ``u = v - w`` (strict, so
+    ``b`` carries a ``+ 1``).  The member discriminants are
+    ``c^2 - r D >= 0`` and ``c_u^2 - r_u (D_v - D) >= 0``.  So
+    ``a = (-s r_v r, -s r_v r_u, -r, r_u)``, and the right-hand sides are
+    ``1 - s (2 k1 c + r^2 D_v)``, ``1 - s (2 k1 c_u + r r_u D_v)``,
+    ``-c^2`` and ``r_u D_v - c_u^2``.  A zero ``a`` leaves a test constant
+    in ``D``, which holds on every row :func:`_admissible_rows` keeps, so
+    no half-line is made of it.
 
     *The circle test* ``quarter = K2^2 - 4 k1 K3 > 0``, ``K3 = c_v D - c D_v``.
-    For ``r_v = 0`` it is linear, ``4 r c_v^2 D > r D_v (4 c c_v - r D_v)``,
-    a fifth half-line, the same for both signs of ``k1``.  For ``r_v != 0``
-    it is quadratic: ``r_v^2 quarter = (r_v^2 D - p)^2 - 4 k1^2 disc(v)``
-    with ``p = 2 r_v c_v c + r (r_v D_v - 2 c_v^2)``, so the ``D`` failing
-    it, the row's gap, are the integers ``x`` with ``|r_v^2 x - p| <= s``
-    for ``s = sqrt(4 k1^2 disc(v))``, none when ``disc(v) < 0``.  An integer
-    has absolute value at most ``sqrt(n)`` exactly when it has at most
-    ``isqrt(n)``, so rounding ``s`` down with :func:`math.isqrt` gives
-    exactly the gap.  A gap could cut a window into two ranges, but it cuts
-    it from one side only: the top ``beta = K2 / m`` lies on the slope-zero
-    locus of ``v``, which reads ``r_v^2 quarter / m^2 = (r_v beta - c_v)^2 -
-    disc(v)``, and ``im(v) = im(w) + im(u) > 0`` puts ``r_v beta - c_v < 0``
-    at every ``D`` the admissibility tests keep.  As ``r_v beta - c_v``
-    grows with ``D`` when ``k1 > 0`` and falls when ``k1 < 0``, the ``D``
-    that pass lie under the gap when ``k1 > 0`` and over it when
-    ``k1 < 0``: the gap is one more bound, one division after one ``isqrt``.
+    For ``r_v != 0``, ``r_v^2 quarter = (A D - p)^2 - 4 k1^2 disc(v)`` with
+    ``A = r_v^2`` and ``p = 2 r_v c_v c + r (r_v D_v - 2 c_v^2)``, so the
+    ``D`` failing it, the row's gap, are the integers ``x`` with
+    ``|A x - p| <= g`` for ``g = sqrt(4 k1^2 disc(v))`` (``disc(v) >= 0``
+    on every walked row).  An integer has absolute value at most
+    ``sqrt(n)`` exactly when it has at most ``isqrt(n)``, so rounding ``g``
+    down with :func:`math.isqrt` gives exactly the gap.  A gap could cut a
+    window into two ranges, but it cuts it from one side only: the top
+    ``beta = K2 / m`` lies on the slope-zero locus of ``v``, which reads
+    ``r_v^2 quarter / m^2 = (r_v beta - c_v)^2 - disc(v)``, and
+    ``im(v) = im(w) + im(u) > 0`` puts ``r_v beta - c_v < 0`` at every
+    ``D`` the admissibility tests keep.  As ``r_v beta - c_v`` grows with
+    ``D`` when ``k1 > 0`` and falls when ``k1 < 0``, the ``D`` that pass
+    are those with ``s (A D - p) < -g``: a fifth half-line,
+    ``a = -s A`` and ``b = 1 + g - s p``.  For ``r_v = 0``, ``k1 = -r c_v``
+    and ``quarter = 4 r c_v^2 D - r D_v (4 c c_v - r D_v)``, which is
+    ``-s (A D - p)`` with ``A = 4 |r| c_v^2`` and
+    ``p = |r| D_v (4 c c_v - r D_v)``, as ``s = -sign(r)`` (``c_v > 0`` on
+    every walked row): the same half-line with ``g = 0``.
 
     What is left is cut to the lattice (``2d = c`` mod 2).  A row left with
     some lattice point goes to the predicate as one step-2 range, and the
@@ -494,73 +520,53 @@ def _walk_rank(ctx: _WallContext, sink: set, r: int, cs: range, ends: tuple, den
     """
     rv, cv, Dv = ctx.rv, ctx.cv, ctx.Dv
     ru, rcv = rv - r, r * cv
-    h0, h1, h3, h4 = r * r * Dv, r * ru * Dv, ru * Dv, r * Dv
-    # For r_v = 0 the circle test is a fifth half-line; otherwise the gap
-    # |A D - p| <= isqrt(sq k1^2), p = p1 c + p0, when disc(v) >= 0.
-    circle = () if rv else (4 * r * cv * cv,)
-    sq = 4 * ctx.delta if rv and ctx.delta >= 0 else None
-    A, p1, p0 = rv * rv, 2 * rv * cv, r * (rv * Dv - 2 * cv * cv)
-    # Per sign s of k1, a = (-s r_v r, -s r_v r_u, -r, r_u): the tests bounding
-    # D from below (a > 0), from above (a < 0, kept as -a) and those whose a
-    # vanishes.
-    sides = []
-    for a in ((rv * r, rv * ru, -r, ru) + circle, (-rv * r, -rv * ru, -r, ru) + circle):
-        lower, upper, fixed = [], [], []
-        for i, x in enumerate(a):
-            if x > 0:
-                lower.append((i, x))
-            elif x < 0:
-                upper.append((i, -x))
-            else:
-                fixed.append(i)
-        sides.append((lower, upper, fixed))
-    below_zero, above_zero = sides
+    h0, h1, h3 = r * r * Dv, r * ru * Dv, ru * Dv
+    # the circle test: s (A D - p) < -isqrt(sq k1^2), p = p1 c + p0
+    if rv:
+        A, p1, p0, sq = rv * rv, 2 * rv * cv, r * (rv * Dv - 2 * cv * cv), 4 * ctx.delta
+    else:
+        n = abs(r)
+        A, p1, p0, sq = 4 * n * cv * cv, 4 * n * cv * Dv, -n * r * Dv * Dv, 0
     (e0, f0), (e1, f1) = ends
-    for c in _admissible_rows(ctx, r, cs):
-        k1 = rv * c - rcv
-        if not k1:
-            continue
-        x0, x1 = e0 * c + f0, e1 * c + f1
-        if x0 > x1:
-            x0, x1 = x1, x0
-        lo, hi = -(-x0 // den), x1 // den
-        # the right-hand sides, and for r_v = 0 the circle test's half-line
-        cu = cv - c
-        y0, y1 = 2 * k1 * c + h0, 2 * k1 * cu + h1
-        if k1 > 0:
-            b = (1 - y0, 1 - y1, -c * c, h3 - cu * cu)
-            lower, upper, fixed = above_zero
-        else:
-            b = (1 + y0, 1 + y1, -c * c, h3 - cu * cu)
-            lower, upper, fixed = below_zero
-        if not rv:
-            b += (1 + h4 * (4 * c * cv - h4),)
-        if fixed and any(b[i] > 0 for i in fixed):
-            continue
-        for i, a in lower:
-            x = -(-b[i] // a)
-            if x > lo:
-                lo = x
-        for i, a in upper:
-            x = -b[i] // a
-            if x < hi:
-                hi = x
-        if lo > hi:
-            continue
-        if sq is not None:
-            s = math.isqrt(sq * k1 * k1)
-            p = p1 * c + p0
-            if k1 > 0:
-                x = -((s - p) // A) - 1  # the last D under the gap
-                if x < hi:
-                    hi = x
-            else:
-                x = (p + s) // A + 1  # the first D over it
+    for s, rows in zip((-1, 1), _admissible_rows(ctx, r, cs)):
+        # the linear half-lines bounding D from below (a > 0) and from above
+        # (a < 0, kept as -a), the circle test's, a = -s A, and the parts of
+        # their b fixed on this side
+        a = (-s * rv * r, -s * rv * ru, -r, ru)
+        lower = [(i, x) for i, x in enumerate(a) if x > 0]
+        upper = [(i, -x) for i, x in enumerate(a) if x < 0]
+        circle_lower, circle_upper = ((A,), ()) if s < 0 else ((), (A,))
+        srv, srcv, g0, g1, q1, q0 = s * rv, s * rcv, s * h0 - 1, s * h1 - 1, s * p1, s * p0 - 1
+        for c in rows:
+            k = srv * c - srcv  # |k1|
+            x0, x1 = e0 * c + f0, e1 * c + f1
+            if x0 > x1:
+                x0, x1 = x1, x0
+            lo, hi = -(-x0 // den), x1 // den
+            cu = cv - c
+            b = (-2 * k * c - g0, -2 * k * cu - g1, -c * c, h3 - cu * cu)
+            for i, a in lower:
+                x = -(-b[i] // a)
                 if x > lo:
                     lo = x
-        lo += (lo - c) % 2
-        if lo <= hi:
-            _row_walls(ctx, sink, r, c, range(lo, hi + 1, 2))
+            for i, a in upper:
+                x = -b[i] // a
+                if x < hi:
+                    hi = x
+            if lo > hi:
+                continue
+            b = math.isqrt(sq * k * k) - q1 * c - q0
+            for a in circle_lower:
+                x = -(-b // a)
+                if x > lo:
+                    lo = x
+            for a in circle_upper:
+                x = -b // a
+                if x < hi:
+                    hi = x
+            lo += (lo - c) % 2
+            if lo <= hi:
+                _row_walls(ctx, sink, r, c, range(lo, hi + 1, 2))
 
 
 def _row_walls(ctx: _WallContext, sink: set, r: int, c: int, Ds: range) -> None:
@@ -634,25 +640,28 @@ def _build_walls(ctx: _WallContext, pairs: Iterable) -> list[WallCandidate]:
     """The walls of the kept pairs of :func:`_row_walls`, outermost first.
 
     Each is built once, after the scan, from the integers of its sub and of
-    the total: the circle is the sub's (the complement's is the same).  The
-    walls are sorted by descending squared radius, then by the sub's
-    ``(r, c, 2d)``; no two kept pairs share both.
+    the total: the circle is the sub's (the complement's is the same), with
+    squared radius ``quarter / m^2``.  The walls are sorted by descending
+    squared radius, then by the sub's ``(r, c, 2d)``; no two kept pairs share
+    both.  The radii are ordered on integers: two distinct fractions whose
+    denominators are below ``2^b`` differ by more than ``2^(-2b)``, so
+    ``floor(2^(2b) quarter / m^2)`` orders them as the fractions do, and
+    equal ones get equal keys.
     """
     rv, cv, Dv = ctx.rv, ctx.cv, ctx.Dv
     keyed = []
     for sub, quotient in pairs:
         r, c, D = sub
-        k1 = rv * c - r * cv
+        m = 2 * (rv * c - r * cv)
         K2 = rv * D - r * Dv
-        m = 2 * k1
-        radius_sq = Fraction(K2 * K2 - 4 * k1 * (cv * D - c * Dv), m * m)
-        keyed.append((radius_sq, (-r, -c, -D), sub, quotient, K2, m))
-    keyed.sort(reverse=True)  # descending rho^2, then ascending sub
+        keyed.append((K2 * K2 - 2 * m * (cv * D - c * Dv), m, K2, sub, quotient))
+    shift = 4 * max((abs(w[1]) for w in keyed), default=0).bit_length()  # m^2 < 2^(shift/2)
+    keyed.sort(key=lambda w: (-((w[0] << shift) // (w[1] * w[1])), w[3]))
     return [
-        WallCandidate(Circle(Fraction(K2, m), radius_sq),
+        WallCandidate(Circle(Fraction(K2, m), Fraction(quarter, m * m)),
                       ChernTruncation(Fraction(r), Fraction(c), Fraction(D, 2)),
                       ChernTruncation(Fraction(rq), Fraction(cq), Fraction(Dq, 2)))
-        for radius_sq, _, (r, c, D), (rq, cq, Dq), K2, m in keyed
+        for quarter, m, K2, (r, c, D), (rq, cq, Dq) in keyed
     ]
 
 
@@ -666,11 +675,11 @@ def brute_force_walls(
     ``|c| <= c_max`` and ``|2d| <= two_d_max`` that could be a wall, and
     reports the deduplicated, sorted walls.  Each rank's rows walk the
     window ``|2d| <= two_d_max`` through :func:`_walk_rank`, the path of
-    the derived scans: the walker drops only rows on which the two
-    admissibility tests cannot both hold (:func:`_admissible_rows`),
-    off-lattice points and points that fail one of the predicate's linear
-    tests or its circle test, so the oracle's walls are those of the whole
-    box.  The oracle takes none of the derived search's rank, ``c`` or
+    the derived scans: the walker drops only rows on which no pair is
+    admissible with members of nonnegative discriminant
+    (:func:`_admissible_rows`), off-lattice points and points that fail
+    one of the predicate's linear tests or its circle test, so the oracle's
+    walls are those of the whole box.  The oracle takes none of the derived search's rank, ``c`` or
     radius bounds, and walks no row of a class
     :attr:`_WallContext.wall_free` marks.
     """

@@ -109,8 +109,10 @@ def test_refused_class_goes_through_brute_force(capsys, monkeypatch):
 
 def test_negative_discriminant_thin_box_is_answered_at_once(capsys):
     # the largest accepted thin box: a wall-free class (disc(v) < 0, disc(v) = 0,
-    # or rank zero with c_v <= 0) walks none of its rows
-    for v in ("1,0,1,0", "1,0,0,0", "0,-1,1/2,0"):
+    # or rank zero with c_v <= 0) walks none of its rows, and the rank-zero
+    # planar factor of the headline class walks at most one row per rank, the
+    # rows where both members are admissible at the common center of its circles
+    for v in ("1,0,1,0", "1,0,0,0", "0,-1,1/2,0", "0,1,-11/2,79/6"):
         start = time.perf_counter()
         code, out, err = invoke(
             capsys,

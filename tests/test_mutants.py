@@ -173,42 +173,55 @@ MUTANTS = [
      ["oracle walls"]),
     # the circle test of the row walker
     ("gap root rounded outward",
-     "s = math.isqrt(sq * k1 * k1)", "s = math.isqrt(sq * k1 * k1) + 1",
+     "math.isqrt(sq * k * k)", "math.isqrt(sq * k * k) + 1",
      ["walked rows", "derived walls"]),
     ("gap ends swapped",
-     "x = -((s - p) // A) - 1  # the last D under the gap",
-     "x = (p + s) // A  # the last D under the gap",
+     "math.isqrt(sq * k * k) - q1 * c - q0", "-s * math.isqrt(sq * k * k) - q1 * c - q0",
      ["walked rows"]),
     ("rank-zero half-line sign flipped",
-     "circle = () if rv else (4 * r * cv * cv,)", "circle = () if rv else (-4 * r * cv * cv,)",
+     "((A,), ()) if s < 0 else", "((A,), ()) if (s < 0) == (rv != 0) else",
      ["walked rows", "oracle walls", "derived walls"]),
     ("torsion cap one row short",
      "stop = min(stop, math.isqrt(ctx.delta - 1) + 1)", "stop = min(stop, math.isqrt(ctx.delta - 1))",
      ["scanned windows"]),
     # the rows a rank walks: one side of k1 = 0 holds no admissible pair
     ("row cut on the wrong side of k1 = 0",
-     "if r * rv < 0:  # drop c < r c_v / r_v", "if r * rv > 0:  # drop c < r c_v / r_v",
+     "(below if r > 0 or ru < 0 else none), (above if ru > 0 or r < 0 else none)",
+     "(below if ru > 0 or r < 0 else none), (above if r > 0 or ru < 0 else none)",
      ["walked rows", "derived walls"]),
     ("row cut on both sides of an outside rank",
-     "    if r * rv < 0:  # drop c < r c_v / r_v", "    return cs[:0]\n    if r * rv < 0:  # drop c < r c_v / r_v",
+     "    return (below if", "    if r * ru < 0:\n        return none, none\n    return (below if",
      ["walked rows", "derived walls"]),
     ("row cut rounded inward above k1 = 0",
-     "return range(max(cs.start, -(-rcv // rv)), cs.stop)",
-     "return range(max(cs.start, -(-rcv // rv) + 1), cs.stop)",
+     "max(cs.start, r * cv // rv + 1)", "max(cs.start, r * cv // rv + 2)",
      ["walked rows"]),
     ("row cut rounded inward below k1 = 0",
-     "return range(cs.start, min(cs.stop, rcv // rv + 1))",
-     "return range(cs.start, min(cs.stop, rcv // rv))",
+     "min(cs.stop, -(-r * cv // rv))", "min(cs.stop, -(-r * cv // rv) - 1)",
      ["walked rows"]),
-    # the linear tests, clipped once per rank
-    ("sides swapped at k1 < 0",
-     "lower, upper, fixed = below_zero", "lower, upper, fixed = above_zero",
+    ("r = 0 starting at c = 2",
+     "max(cs.start, r * cv // rv + 1)", "max(cs.start, r * cv // rv + 1 + (r == 0))",
      ["walked rows", "derived walls"]),
+    ("r = r_v keeping rows only up to c_v - 2",
+     "min(cs.stop, -(-r * cv // rv))", "min(cs.stop, -(-r * cv // rv) - (r == rv))",
+     ["walked rows"]),
+    ("rank-zero window starting one row inward",
+     "rD // cc + 1", "rD // cc + 2",
+     ["walked rows", "oracle walls"]),
+    ("rank-zero window stopping one row inward",
+     "cv - (-rD // cc)", "cv - (-rD // cc) - 1",
+     ["walked rows", "oracle walls"]),
+    # the five half-lines, sorted once per side of k1 = 0
+    ("sides swapped at k1 < 0",
+     "zip((-1, 1), _admissible_rows", "zip((1, 1), _admissible_rows",
+     ["walked rows", "derived walls"]),
+    ("the two sides' signs swapped",
+     "zip((-1, 1), _admissible_rows", "zip((1, -1), _admissible_rows",
+     ["walked rows", "oracle walls", "derived walls"]),
     ("disc(w) half-line dropped at k1 > 0",
-     "b = (1 - y0, 1 - y1, -c * c, h3 - cu * cu)", "b = (1 - y0, 1 - y1, -10**9, h3 - cu * cu)",
+     "-c * c, h3 - cu * cu)", "-c * c if s < 0 else -10**9, h3 - cu * cu)",
      ["walked rows"]),
     ("disc(u) half-line dropped at k1 < 0",
-     "b = (1 + y0, 1 + y1, -c * c, h3 - cu * cu)", "b = (1 + y0, 1 + y1, -c * c, -10**9)",
+     "-c * c, h3 - cu * cu)", "-c * c, h3 - cu * cu if s > 0 else -10**9)",
      ["walked rows"]),
     ("ceiling turned into a floor",
      "x = -(-b[i] // a)", "x = b[i] // a",

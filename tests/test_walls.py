@@ -607,6 +607,47 @@ def regions(draw) -> Region:
     return Region(lo, lo + width, cap)
 
 
+@st.composite
+def pair_sets(draw) -> tuple[ChernCharacter, list]:
+    """A total and a shuffled list of pairs ``(sub, total - sub)`` as
+    integers ``(r, c, 2d)``, each sub with a circle.  Each sub ``w`` comes
+    with ``w' = a w + b v`` for an ``a`` in 2..3, whose circle is the same
+    and whose ``k1`` is ``a k1``, so equal radii come from different ``k1``."""
+    total = draw(rational_totals())
+    rv, cv, Dv = int(total.r), int(total.c), int(2 * total.d)
+    pairs = {}
+    for r, c, j, a, b, twin in draw(st.lists(st.tuples(
+            st.integers(-4, 4), st.integers(-12, 12), st.integers(-20, 20),
+            st.integers(2, 3), st.integers(-2, 2), st.booleans()), max_size=30)):
+        D = c + 2 * j
+        for w in [(r, c, D)] + twin * [(a * r + b * rv, a * c + b * cv, a * D + b * Dv)]:
+            k1, K2 = rv * w[1] - w[0] * cv, rv * w[2] - w[0] * Dv
+            if k1 and K2 * K2 - 4 * k1 * (cv * w[2] - w[1] * Dv) > 0:
+                pairs[w] = (w, (rv - w[0], cv - w[1], Dv - w[2]))
+    return total, draw(st.permutations(list(pairs.values())))
+
+
+@given(pair_sets())
+# w = (0, 1, -11) of V and 2 w + v = (1, 2, -34) share the circle of squared
+# radius 73/4, with k1 = 1 and 2; (1, -1, 1) has the larger 121/4.
+@example((V, [((1, 2, -34), (0, -2, 22)), ((0, 1, -11), (1, -1, -1)), ((1, -1, 1), (0, 1, -13))]))
+@settings(max_examples=200, deadline=None)
+def test_build_walls_sorts_like_fractions(total_pairs):
+    # The integer sort key of walls._build_walls against Fraction radii:
+    # descending squared radius, then ascending sub, on shuffled pairs.
+    total, pairs = total_pairs
+    v = ChernTruncation(total.r, total.c, total.d)
+    reference = []
+    for (r, c, D), (rq, cq, Dq) in pairs:
+        w = ChernTruncation(r, c, Fraction(D, 2))
+        circle = tilt_wall_locus(v, w)
+        reference.append(((-circle.radius_sq, (r, c, D)), walls_module.WallCandidate(
+            circle, w, ChernTruncation(rq, cq, Fraction(Dq, 2)))))
+    reference.sort(key=lambda keyed: keyed[0])
+    ctx = walls_module._WallContext(total, REGION)
+    assert walls_module._build_walls(ctx, pairs) == [wall for _, wall in reference]
+
+
 @given(
     rational_totals(), rational_totals(),
     st.fractions(min_value=-50, max_value=50, max_denominator=16),
@@ -1616,12 +1657,16 @@ def test_rank_clip_matches_fraction_reference_on_random_rows(rv, cv, k, r, c0, l
 def _assert_dropped_rows_are_empty(
     ctx: walls_module._WallContext, r: int, cs: range, Ds: range
 ) -> int:
-    """Assert that no row of ``cs`` that ``walls._admissible_rows`` drops
-    holds a ``2d`` of ``Ds`` that passes the reference's admissibility and
-    discriminant tests; return how many rows with ``k1 != 0`` were dropped."""
-    kept = walls_module._admissible_rows(ctx, r, cs)
-    assert kept.step == 1 and (not kept or cs.start <= kept.start <= kept[-1] < cs.stop)
-    dropped = [c for c in cs if c not in kept and ctx.rv * c - r * ctx.cv]
+    """Assert that ``walls._admissible_rows`` keeps two step-1 ranges of
+    ``cs``, rows with ``k1 < 0`` and rows with ``k1 > 0``, and that no row of
+    ``cs`` it drops holds a ``2d`` of ``Ds`` that passes the reference's
+    admissibility and discriminant tests; return how many rows with
+    ``k1 != 0`` were dropped."""
+    below, above = walls_module._admissible_rows(ctx, r, cs)
+    for kept, sign in ((below, -1), (above, 1)):
+        assert kept.step == 1 and (not kept or cs.start <= kept.start <= kept[-1] < cs.stop)
+        assert all((ctx.rv * c - r * ctx.cv) * sign > 0 for c in kept), (r, kept, sign)
+    dropped = [c for c in cs if c not in below and c not in above and ctx.rv * c - r * ctx.cv]
     for c in dropped:
         assert _reference_clip(ctx, r, c, Ds, circle=False) == [], (r, c)
     return len(dropped)
@@ -1635,22 +1680,29 @@ SIDE_TOTALS = [
 
 
 def test_dropped_rows_hold_no_admissible_pair():
-    # Every row the walker skips for its side of k1 = 0, over the oracle's
-    # test boxes and over member ranks -4..4 of totals of rank -4..4: none
-    # holds a 2d admissible at its top whose members have discriminant >= 0.
-    dropped = {-1: 0, 0: 0, 1: 0}
+    # Every row the walker skips, over the oracle's test boxes and over member
+    # ranks -4..4 of totals of rank -4..4: none holds a 2d admissible at its
+    # top whose members have discriminant >= 0.  Rows are dropped for totals
+    # of each sign of r_v, for r = 0 and r = r_v (r_v != 0), and for rank-zero
+    # totals, every rank of which keeps at most one window of rows.
+    dropped = {-1: 0, 0: 0, 1: 0, "r = 0": 0, "r = r_v": 0}
+
+    def check(ctx, r, cs, Ds):
+        n = _assert_dropped_rows_are_empty(ctx, r, cs, Ds)
+        dropped[(ctx.rv > 0) - (ctx.rv < 0)] += n
+        if ctx.rv and r in (0, ctx.rv):
+            dropped["r = 0" if r == 0 else "r = r_v"] += n
+
     for total, bounds in LATTICE_BOXES:
         ctx, t = walls_module._WallContext(total, REGION), bounds.two_d_max
         for r in range(-bounds.r_max, bounds.r_max + 1):
-            n = _assert_dropped_rows_are_empty(
-                ctx, r, range(-bounds.c_max, bounds.c_max + 1), range(-t, t + 1))
-            dropped[(ctx.rv > 0) - (ctx.rv < 0)] += n
+            check(ctx, r, range(-bounds.c_max, bounds.c_max + 1), range(-t, t + 1))
     for total in SIDE_TOTALS:
         ctx = walls_module._WallContext(total, REGION)
         for r in range(-4, 5):
-            n = _assert_dropped_rows_are_empty(ctx, r, range(-8, 9), range(-20, 21))
-            dropped[(ctx.rv > 0) - (ctx.rv < 0)] += n
-    assert dropped[1] and dropped[-1] and not dropped[0], dropped
+            check(ctx, r, range(-8, 9), range(-20, 21))
+    assert dropped[1] and dropped[-1] and dropped[0] > 0, dropped
+    assert dropped["r = 0"] and dropped["r = r_v"], dropped
 
 
 @given(
