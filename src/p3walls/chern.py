@@ -49,6 +49,15 @@ def _rat(value: RationalInput) -> Fraction:
     raise ValueError(f"not a rational input (Fraction, int or str): {value!r}")
 
 
+def _rat_fields(obj: object, *names: str) -> None:
+    """Set each named field of the frozen dataclass ``obj`` to :func:`_rat` of
+    its value, leaving a field that already holds a ``Fraction`` as it is."""
+    for name in names:
+        value = getattr(obj, name)
+        if type(value) is not Fraction:
+            object.__setattr__(obj, name, _rat(value))
+
+
 @dataclass(frozen=True)
 class ChernTruncation:
     """The degree ``<= 2`` part ``(r, c, d)`` of a character.
@@ -67,9 +76,8 @@ class ChernTruncation:
     d: Fraction
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "r", _rat(self.r))
-        object.__setattr__(self, "c", _rat(self.c))
-        object.__setattr__(self, "d", _rat(self.d))
+        if not (type(self.r) is type(self.c) is type(self.d) is Fraction):
+            _rat_fields(self, "r", "c", "d")
 
     def _parts(self) -> tuple[Fraction, ...]:
         return self.r, self.c, self.d
@@ -102,13 +110,12 @@ class ChernTruncation:
         return self.c * self.c - 2 * self.r * self.d
 
     def is_lattice(self) -> bool:
-        """Whether ``(r, c, d)`` can be the truncation of a sheaf character."""
-        if self.r.denominator != 1 or self.c.denominator != 1:
+        """Whether ``(r, c, d)`` can be the truncation of a sheaf character:
+        ``r``, ``c`` and ``2d`` are integers, and ``2d = c`` mod 2."""
+        d = self.d
+        if self.r.denominator != 1 or self.c.denominator != 1 or d.denominator > 2:
             return False
-        two_d = 2 * self.d
-        if two_d.denominator != 1:
-            return False
-        return (two_d.numerator - self.c.numerator) % 2 == 0
+        return (d.numerator * (2 // d.denominator) - self.c.numerator) % 2 == 0
 
     def lattice_coords(self) -> tuple[int, int, int]:
         """Integer coordinates ``(r, c, d - c/2)`` on the truncation lattice.
@@ -138,8 +145,8 @@ class ChernCharacter(ChernTruncation):
     e: Fraction
 
     def __post_init__(self) -> None:
-        super().__post_init__()
-        object.__setattr__(self, "e", _rat(self.e))
+        if not (type(self.r) is type(self.c) is type(self.d) is type(self.e) is Fraction):
+            _rat_fields(self, "r", "c", "d", "e")
 
     def _parts(self) -> tuple[Fraction, ...]:
         return self.r, self.c, self.d, self.e

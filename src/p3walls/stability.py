@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
 
-from .chern import ChernCharacter, ChernTruncation, RationalInput, _rat
+from .chern import ChernCharacter, ChernTruncation, RationalInput, _rat, _rat_fields
 
 #: The infinite slope; the slope functions return this one object.
 INFINITY = math.inf
@@ -47,9 +47,9 @@ class TiltPoint:
     alpha_sq: Fraction
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "beta", _rat(self.beta))
-        object.__setattr__(self, "alpha_sq", _rat(self.alpha_sq))
-        if self.alpha_sq <= 0:
+        if not (type(self.beta) is type(self.alpha_sq) is Fraction):
+            _rat_fields(self, "beta", "alpha_sq")
+        if self.alpha_sq.numerator <= 0:
             raise ValueError(f"alpha_sq must be positive, got {self.alpha_sq}")
 
     def __str__(self) -> str:
@@ -84,9 +84,23 @@ def mu_beta(ch: ChernTruncation, beta: RationalInput) -> ExtendedRational:
 
 
 def tilt_charge(ch: ChernTruncation, point: TiltPoint) -> ChargeValue:
-    """Central charge of tilt stability: ``-d^b + alpha^2/2 r^b + i c^b``."""
-    tw = ChernTruncation.twist(ch, point.beta)
-    return ChargeValue(-tw.d + point.alpha_sq / 2 * tw.r, tw.c)
+    """Central charge of tilt stability: ``-d^b + alpha^2/2 r^b + i c^b``.
+
+    With ``beta = p / q`` and ``alpha^2 = a / b``, the twisted parts are
+    ``c^b = c - p r / q`` and ``-d^b + alpha^2/2 r^b = -d + p c / q +
+    (a q^2 - b p^2) r / (2 b q^2)``; each part is built as one Fraction, from
+    its numerator over the product of the denominators.
+    """
+    p, q = point.beta.numerator, point.beta.denominator
+    a, b = point.alpha_sq.numerator, point.alpha_sq.denominator
+    rn, rd = ch.r.numerator, ch.r.denominator
+    cn, cd = ch.c.numerator, ch.c.denominator
+    dn, dd = ch.d.numerator, ch.d.denominator
+    re = Fraction(
+        2 * b * q * rd * (p * cn * dd - q * dn * cd) + (a * q * q - b * p * p) * rn * cd * dd,
+        2 * b * q * q * rd * cd * dd,
+    )
+    return ChargeValue(re, Fraction(q * cn * rd - p * rn * cd, q * rd * cd))
 
 
 def nu(ch: ChernTruncation, point: TiltPoint) -> ExtendedRational:

@@ -70,7 +70,7 @@ from functools import cached_property
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Optional
 
-from .chern import ChernCharacter, ChernTruncation, RationalInput, _rat
+from .chern import ChernCharacter, ChernTruncation, RationalInput, _rat, _rat_fields
 # walls.wall_admissible and walls.nu stay bound: perfbench/tracer.py wraps them by name.
 from .stability import TiltPoint, nu, wall_admissible  # noqa: F401
 
@@ -93,8 +93,8 @@ class Circle:
     radius_sq: Fraction
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "center", _rat(self.center))
-        object.__setattr__(self, "radius_sq", _rat(self.radius_sq))
+        if not (type(self.center) is type(self.radius_sq) is Fraction):
+            _rat_fields(self, "center", "radius_sq")
         if self.radius_sq.numerator <= 0:
             raise ValueError(f"radius_sq must be positive, got {self.radius_sq}")
 
@@ -131,12 +131,12 @@ class Region:
     alpha_sq_max: Fraction
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "beta_min", _rat(self.beta_min))
-        object.__setattr__(self, "beta_max", _rat(self.beta_max))
-        object.__setattr__(self, "alpha_sq_max", _rat(self.alpha_sq_max))
-        if self.beta_min >= self.beta_max:
+        if not (type(self.beta_min) is type(self.beta_max) is type(self.alpha_sq_max) is Fraction):
+            _rat_fields(self, "beta_min", "beta_max", "alpha_sq_max")
+        lo, hi = self.beta_min, self.beta_max
+        if lo.numerator * hi.denominator >= hi.numerator * lo.denominator:
             raise ValueError("beta_min must be smaller than beta_max")
-        if self.alpha_sq_max <= 0:
+        if self.alpha_sq_max.numerator <= 0:
             raise ValueError("alpha_sq_max must be positive")
 
 
@@ -345,21 +345,31 @@ def bmt_zero_circle(v: ChernCharacter) -> Optional[Circle]:
 class _WallContext:
     """Precomputed integer data for one total class and search region.
 
+    The integers are read from the numerators and denominators of ``v``.
     Whether the zero circle of the positivity form (:func:`bmt_zero_circle`)
-    exists is decided on integers: ``g1^2 > 4 g0 disc(v)`` with
-    ``disc(v) > 0`` reads ``G1^2 > 4 G0 delta_g``.  Its rational center and
-    radius are built only when it exists, and the region's integers and the
-    slope ``mu`` only when a scan or the certificate first reads them, so a
-    class refused for want of the circle costs integer work only.
+    exists is decided on them: ``g1^2 > 4 g0 disc(v)`` with ``disc(v) > 0``
+    reads ``G1^2 > 4 G0 delta_g``.  Its rational center and radius are built
+    only when it exists, and the region's integers and the slope ``mu`` only
+    when a scan or the certificate first reads them.
+
+    So refusing a class of rank ``r_v >= 0`` that has no zero circle
+    computes exactly this, and builds, compares or computes on no Fraction:
+    the lattice test of ``v``, the integers ``r_v``, ``c_v``, ``D_v``,
+    ``disc(v)``, ``G1``, ``G0`` and ``delta_g`` (one gcd), the test above and
+    :attr:`wall_free`.  A class whose zero circle exists is refused after
+    the circle is built and :func:`_vacuity_radius_cap` fails at ``t = 0``.
+    A class of negative rank is refused after its derived dual, the mirrored
+    region and their context are built (:func:`enumerate_tilt_walls`).
     """
 
     def __init__(self, v: ChernCharacter, region: Region):
         if not v.is_lattice():
             raise ValueError(f"total class is not on the truncation lattice: {v}")
         self.region = region
-        self.rv = int(v.r)
-        self.cv = int(v.c)
-        self.Dv = int(2 * v.d)
+        # on the lattice, r_v and c_v are integers and 2 d_v = D_v is one
+        self.rv = v.r.numerator
+        self.cv = v.c.numerator
+        self.Dv = v.d.numerator * (2 // v.d.denominator)
         self.delta = self.cv * self.cv - self.rv * self.Dv  # integer discriminant
         # g1 = -2 c_v d_v + 6 r_v e_v and g0 = 4 d_v^2 - 6 c_v e_v over their
         # least common denominator g: g1 = G1 / g, g0 = G0 / g.
@@ -884,8 +894,9 @@ def _derived_walls(ctx: _WallContext) -> set:
       and ``rho <= (disc(v) - c^2) / (2 c r_v) < disc(v) / (2 r_v)``: the
       cap at ``k = 0``, where ``g = r_v``.
     """
-    t_stop = _vacuity_radius_cap(ctx)
-    if t_stop <= 0:
+    # no zero circle: refused on the context's integers, with no Fraction
+    t_stop = None if ctx.bmt_radius_sq is None else _vacuity_radius_cap(ctx)
+    if t_stop is None or t_stop <= 0:
         if ctx.rv == 0:
             reason = "cannot certify a finite search for this rank-zero class (no vacuity disc)"
         else:

@@ -1,11 +1,13 @@
 from __future__ import annotations
 
+import dataclasses
+import itertools
 import time
 from decimal import Decimal
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from p3walls.chern import (
@@ -19,7 +21,7 @@ from p3walls.chern import (
     product,
 )
 from p3walls.stability import INFINITY, TiltPoint
-from p3walls.walls import Region
+from p3walls.walls import Circle, Region
 
 rationals = st.fractions(min_value=-10, max_value=10, max_denominator=12)
 small_ints = st.integers(min_value=-9, max_value=9)
@@ -209,8 +211,8 @@ def test_library_rationals_use_the_cli_grammar(take, text):
 
 @pytest.mark.parametrize(
     "value",
-    [0.1, INFINITY, float("nan"), Decimal("0.5")],
-    ids=["float", "infinity", "nan", "decimal"],
+    [0.1, INFINITY, float("nan"), Decimal("0.5"), None],
+    ids=["float", "infinity", "nan", "decimal", "none"],
 )
 @pytest.mark.parametrize("take", list(RATIONAL_TAKERS.values()), ids=list(RATIONAL_TAKERS))
 def test_library_rationals_refuse_other_types(take, value):
@@ -225,6 +227,118 @@ def test_library_rationals_refuse_other_types(take, value):
 def test_library_rationals_accept_p_and_p_over_q(take):
     assert take("3") == 3
     assert take("-7/2") == Fraction(-7, 2)
+
+
+class _Rational(Fraction):
+    """A Fraction subclass: every value type keeps it as given, as :func:`_rat` does."""
+
+
+#: Each value type with valid field values, all integral and not all integral.
+VALUE_TYPES = {
+    "ChernTruncation": (ChernTruncation, (2, -1, -3), (2, -1, Fraction(-5, 2))),
+    "ChernCharacter": (ChernCharacter, (2, -1, -3, 4), (2, -1, Fraction(-5, 2), Fraction(11, 6))),
+    "Circle": (Circle, (-5, 4), (Fraction(-11, 2), Fraction(73, 4))),
+    "TiltPoint": (TiltPoint, (-5, 4), (Fraction(-11, 2), Fraction(73, 4))),
+    "Region": (Region, (-3, 5, 4), (Fraction(5, 4), Fraction(4, 3), Fraction(3, 4))),
+}
+#: How each kind of input spells a list of Fraction values.
+INPUT_KINDS = {
+    "int": lambda xs: [int(x) for x in xs],
+    "str": lambda xs: [str(x) for x in xs],
+    "Fraction": list,
+    "subclass": lambda xs: [_Rational(x) for x in xs],
+    "mixed": lambda xs: xs[:1] + [str(x) for x in xs[1:]],
+}
+
+
+@pytest.mark.parametrize("kind", list(INPUT_KINDS))
+@pytest.mark.parametrize("make, integral, rational", VALUE_TYPES.values(), ids=list(VALUE_TYPES))
+def test_value_types_keep_fractions_and_convert_the_rest(make, integral, rational, kind):
+    values = [Fraction(x) for x in (integral if kind == "int" else rational)]
+    given_values = INPUT_KINDS[kind](values)
+    built = make(*given_values)
+    fields = [getattr(built, field.name) for field in dataclasses.fields(built)]
+    assert fields == values
+    for field, value in zip(fields, given_values):
+        if isinstance(value, Fraction):
+            assert field is value  # kept as given, a subclass too
+        else:
+            assert type(field) is Fraction
+
+
+@pytest.mark.parametrize("bad", [0.5, Decimal("0.5"), None], ids=["float", "decimal", "none"])
+@pytest.mark.parametrize("make, integral, rational", VALUE_TYPES.values(), ids=list(VALUE_TYPES))
+def test_value_types_refuse_other_types_in_every_field(make, integral, rational, bad):
+    for index in range(len(rational)):
+        for others in (list(rational), [str(x) for x in rational]):
+            values = others[:index] + [bad] + others[index + 1:]
+            with pytest.raises(ValueError, match="not a rational input"):
+                make(*values)
+
+
+def _spellings(x: Fraction) -> list:
+    """``x`` as a Fraction, as a string, and as an int when it is one."""
+    return [x, str(x)] + ([int(x)] if x.denominator == 1 else [])
+
+
+signed_rationals = st.builds(Fraction, st.integers(-40, 40), st.integers(1, 12))
+
+
+@given(signed_rationals, signed_rationals, signed_rationals)
+@example(Fraction(2), Fraction(2), Fraction(1))  # equal edges
+@example(Fraction(3), Fraction(2), Fraction(1))  # reversed edges
+@example(Fraction(-3), Fraction(2), Fraction(0))  # zero cap
+@example(Fraction(-3), Fraction(2), Fraction(-1))  # negative cap
+@example(Fraction(1, 3), Fraction(1, 3), Fraction(1, 7))
+@example(Fraction(5, 4), Fraction(4, 3), Fraction(1, 7))  # larger numerator, smaller edge
+@example(Fraction(4, 3), Fraction(5, 4), Fraction(1, 7))
+@example(Fraction(-1, 2), Fraction(-1, 3), Fraction(-1, 7))
+def test_region_refuses_what_the_fraction_order_refuses(lo, hi, cap):
+    # the edges and the cap are compared on numerators; the reference is the
+    # Fraction order, beta_min < beta_max and alpha_sq_max > 0
+    for spelled in itertools.product(*map(_spellings, (lo, hi, cap))):
+        if lo < hi and cap > 0:
+            assert dataclasses.astuple(Region(*spelled)) == (lo, hi, cap)
+        else:
+            with pytest.raises(ValueError, match="beta_min must be smaller|alpha_sq_max must be positive"):
+                Region(*spelled)
+
+
+@given(signed_rationals, signed_rationals)
+@example(Fraction(-4), Fraction(0))
+@example(Fraction(-4), Fraction(-1))
+@example(Fraction(1, 3), Fraction(-1, 12))
+def test_tilt_point_refuses_what_the_fraction_order_refuses(beta, alpha_sq):
+    for spelled in itertools.product(*map(_spellings, (beta, alpha_sq))):
+        if alpha_sq > 0:
+            assert dataclasses.astuple(TiltPoint(*spelled)) == (beta, alpha_sq)
+        else:
+            with pytest.raises(ValueError, match="alpha_sq must be positive"):
+                TiltPoint(*spelled)
+
+
+def _doubled_d_is_lattice(tr: ChernTruncation) -> bool:
+    """The reference: :meth:`ChernTruncation.is_lattice` by the Fraction ``2 d``."""
+    if tr.r.denominator != 1 or tr.c.denominator != 1:
+        return False
+    two_d = 2 * tr.d
+    return two_d.denominator == 1 and (two_d.numerator - tr.c.numerator) % 2 == 0
+
+
+# mostly integers and halves, so that about half of the draws are on the lattice
+lattice_rationals = st.builds(
+    Fraction, st.integers(-40, 40), st.one_of(st.just(1), st.just(2), st.integers(1, 12))
+)
+
+
+@given(st.builds(ChernTruncation, lattice_rationals, lattice_rationals, lattice_rationals))
+@example(ChernTruncation(0, 1, Fraction(-11, 2)))
+@example(ChernTruncation(0, 1, 1))
+@example(ChernTruncation(-2, -3, Fraction(-1, 2)))
+@example(ChernTruncation(1, 0, Fraction(-1, 2)))
+def test_is_lattice_matches_the_doubled_d_formula(tr):
+    assert tr.is_lattice() == _doubled_d_is_lattice(tr)
+    assert tr.with_ch3(0).is_lattice() == tr.is_lattice()
 
 
 def test_parse_keeps_whitespace_out_of_components():

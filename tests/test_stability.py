@@ -4,7 +4,7 @@ import math
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from p3walls.chern import ChernCharacter, ChernTruncation, curve_ideal_ch, line_bundle_ch
@@ -103,6 +103,38 @@ def test_tilt_charge_additive(point):
     pa, pb = tilt_charge(a, point), tilt_charge(b, point)
     assert total.re == pa.re + pb.re
     assert total.im == pa.im + pb.im
+
+
+def _twisted_tilt_charge(ch: ChernTruncation, point: TiltPoint) -> tuple[Fraction, Fraction]:
+    """The reference: :func:`tilt_charge` read off the twisted truncation."""
+    tw = ChernTruncation.twist(ch, point.beta)
+    return -tw.d + point.alpha_sq / 2 * tw.r, tw.c
+
+
+@st.composite
+def charges_at_points(draw) -> tuple[ChernTruncation, TiltPoint]:
+    """Rational truncations, lattice or not, at points of either sign of
+    ``beta``; about half have ``c^beta = 0``."""
+    point = draw(points())
+    r, d = draw(rationals), draw(rationals)
+    c = point.beta * r if draw(st.booleans()) else draw(rationals)
+    return ChernTruncation(r, c, d), point
+
+
+@given(charges_at_points())
+@example((V, TiltPoint(0, 1)))  # c^0 = 0
+@example((V, TiltPoint(-4, 4)))  # the top of the innermost wall, nu = 0
+@example((ChernTruncation(0, 0, 1), TiltPoint(-3, 5)))
+@example((ChernTruncation(Fraction(1, 2), Fraction(-1, 3), Fraction(5, 7)),
+          TiltPoint(Fraction(-2, 3), Fraction(1, 5))))
+def test_tilt_charge_matches_the_twisted_formula(case):
+    ch, point = case
+    re, im = tilt_charge(ch, point)
+    ref_re, ref_im = _twisted_tilt_charge(ch, point)
+    assert (re, im) == (ref_re, ref_im)
+    assert type(re) is type(im) is Fraction
+    assert nu(ch, point) == (INFINITY if ref_im == 0 else -ref_re / ref_im)
+    assert tilt_charge(ch.with_ch3(1), point) == (re, im)
 
 
 @given(points())

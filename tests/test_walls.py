@@ -709,12 +709,26 @@ REFUSED_TOTALS = [
 ]
 
 
+#: Every way to build a Fraction, compute on one or compare one;
+#: ``_from_coprime_ints`` (Python 3.12+) and ``__int__`` (3.11+) where they exist.
+FRACTION_WORK = (
+    "__new__", "_from_coprime_ints",
+    "__add__", "__radd__", "__sub__", "__rsub__", "__mul__", "__rmul__",
+    "__truediv__", "__rtruediv__", "__floordiv__", "__rfloordiv__",
+    "__divmod__", "__rdivmod__", "__mod__", "__rmod__", "__pow__", "__rpow__",
+    "__pos__", "__neg__", "__abs__", "__int__", "__trunc__", "__floor__", "__ceil__", "__round__",
+    "__eq__", "__lt__", "__gt__", "__le__", "__ge__", "__bool__",
+)
+
+
 @pytest.mark.parametrize("total", REFUSED_TOTALS, ids=str)
 def test_refusal_comes_before_any_scan(total, monkeypatch):
     # These classes have no positivity zero circle, so the refusal is decided
-    # on integers: no rational circle and no square root bound is built.
+    # on integers: no rational circle and no square root bound is built, and
+    # once the class and the region exist no Fraction is built, computed on
+    # or compared.
     def fail(what):
-        def call(*args):
+        def call(*args, **kwargs):
             raise AssertionError(f"{what} before the refusal")
 
         return call
@@ -722,8 +736,12 @@ def test_refusal_comes_before_any_scan(total, monkeypatch):
     monkeypatch.setattr(walls_module, "_row_walls", fail("a row was scanned"))
     monkeypatch.setattr(walls_module, "bmt_zero_circle", fail("the zero circle was built"))
     monkeypatch.setattr(walls_module, "_sqrt_bounds", fail("a square root was bounded"))
-    with pytest.raises(WallSearchError, match="cannot certify"):
-        enumerate_tilt_walls(total, REGION)
+    with monkeypatch.context() as patch:
+        for name in FRACTION_WORK:
+            if hasattr(Fraction, name):
+                patch.setattr(Fraction, name, fail(f"Fraction.{name} ran"))
+        with pytest.raises(WallSearchError, match="cannot certify"):
+            enumerate_tilt_walls(total, REGION)
 
 
 def test_rank_zero_exits_are_decided_before_the_scan(monkeypatch):
@@ -747,6 +765,9 @@ def test_rank_zero_exits_are_decided_before_the_scan(monkeypatch):
 @settings(max_examples=200, deadline=None)
 def test_zero_circle_of_the_context_matches_bmt_zero_circle(total):
     ctx = walls_module._WallContext(total, REGION)
+    # the integers the context reads from numerators and denominators
+    assert (ctx.rv, ctx.cv, ctx.Dv) == (int(total.r), int(total.c), int(2 * total.d))
+    assert type(ctx.rv) is type(ctx.cv) is type(ctx.Dv) is int
     circle = bmt_zero_circle(total)
     if circle is None:
         assert ctx.bmt_center is None and ctx.bmt_radius_sq is None
