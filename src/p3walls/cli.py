@@ -62,6 +62,13 @@ def _rational_arg(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"invalid rational {text!r} (expected p or p/q)")
 
 
+def _positive_rational_arg(text: str) -> Fraction:
+    value = _rational_arg(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"invalid value {text!r} (expected a positive rational)")
+    return value
+
+
 def _bound_arg(text: str) -> int:
     try:
         value = _parse_integer(text)
@@ -252,8 +259,8 @@ def build_parser() -> argparse.ArgumentParser:
     plot = sub.add_parser("plot", help="render the wall picture to SVG")
     plot.add_argument("--v", type=_chern_arg, required=True)
     _add_region_options(plot)
-    plot.add_argument("--s", type=_rational_arg, default=None,
-                      help="extra stability parameter recorded in the caption")
+    plot.add_argument("--s", type=_positive_rational_arg, default=None,
+                      help="extra stability parameter s > 0 recorded in the caption")
     plot.add_argument("--out", required=True, help="output SVG path")
     plot.set_defaults(handler=_cmd_plot)
 

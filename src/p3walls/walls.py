@@ -323,18 +323,15 @@ def bmt_zero_circle(v: ChernCharacter) -> Optional[Circle]:
 
     No semistable object of class ``v`` exists below this circle.  Returns
     ``None`` when the discriminant is not positive or the zero set has no
-    points of positive height.
+    points of positive height.  Every rational class is accepted: one off
+    the truncation lattice is read as its lattice multiple ``n v``,
+    ``n = 2 lcm(den r, den c, den d)``, whose zero circle is the same
+    because the form is homogeneous of degree 2 in ``v``.  The circle is
+    the search's, :attr:`_WallContext.zero_circle`.
     """
-    delta = v.discriminant()
-    if delta <= 0:
-        return None
-    g1 = -2 * v.c * v.d + 6 * v.r * v.e
-    g0 = 4 * v.d * v.d - 6 * v.c * v.e
-    center = -g1 / (2 * delta)
-    radius_sq = center * center - g0 / delta
-    if radius_sq <= 0:
-        return None
-    return Circle(center, radius_sq)
+    if not v.is_lattice():
+        v = 2 * math.lcm(v.r.denominator, v.c.denominator, v.d.denominator) * v
+    return _WallContext(v, DEFAULT_REGION).zero_circle
 
 
 # ---------------------------------------------------------------------------
@@ -346,30 +343,35 @@ class _WallContext:
     """Precomputed integer data for one total class and search region.
 
     The integers are read from the numerators and denominators of ``v``.
-    Whether the zero circle of the positivity form (:func:`bmt_zero_circle`)
-    exists is decided on them: ``g1^2 > 4 g0 disc(v)`` with ``disc(v) > 0``
-    reads ``G1^2 > 4 G0 delta_g``.  Its rational center and radius are built
-    only when it exists, and the region's integers and the slope ``mu`` only
-    when a scan or the certificate first reads them.
+    With ``sign = -1`` they are those of the derived dual
+    ``ch(E^v[1]) = (-r, c, -d, e)`` over the region mirrored by
+    ``beta -> -beta``, read from the same numerators: ``r_v``, ``D_v`` and
+    ``G1`` change sign, ``disc(v)``, ``G0`` and ``delta_g`` do not, and the
+    region's edges ``(B_min, B_max)`` become ``(-B_max, -B_min)``.
 
-    So refusing a class of rank ``r_v >= 0`` that has no zero circle
-    computes exactly this, and builds, compares or computes on no Fraction:
-    the lattice test of ``v``, the integers ``r_v``, ``c_v``, ``D_v``,
-    ``disc(v)``, ``G1``, ``G0`` and ``delta_g`` (one gcd), the test above and
-    :attr:`wall_free`.  A class whose zero circle exists is refused after
-    the circle is built and :func:`_vacuity_radius_cap` fails at ``t = 0``.
-    A class of negative rank is refused after its derived dual, the mirrored
-    region and their context are built (:func:`enumerate_tilt_walls`).
+    The zero circle of the positivity form (:attr:`zero_circle`, also
+    :func:`bmt_zero_circle`) is decided and built here: ``g1^2 > 4 g0 disc(v)``
+    with ``disc(v) > 0`` reads ``G1^2 > 4 G0 delta_g``, and only when it
+    holds is the rational circle built.  The region's integers and the slope
+    ``mu`` are built when a scan or the certificate first reads them.
+
+    So refusing a class that has no zero circle computes exactly this, and
+    builds, compares or computes on no Fraction: the lattice test of ``v``,
+    the integers ``r_v``, ``c_v``, ``D_v``, ``disc(v)``, ``G1``, ``G0`` and
+    ``delta_g`` (one gcd), the test above and :attr:`wall_free`; for a class
+    of negative rank, once for ``v`` and once for its derived dual
+    (:func:`enumerate_tilt_walls`).  A class whose zero circle exists is
+    refused after :func:`_vacuity_radius_cap` fails at ``t = 0``.
     """
 
-    def __init__(self, v: ChernCharacter, region: Region):
+    def __init__(self, v: ChernCharacter, region: Region, sign: int = 1):
         if not v.is_lattice():
             raise ValueError(f"total class is not on the truncation lattice: {v}")
-        self.region = region
+        self.region, self.sign = region, sign
         # on the lattice, r_v and c_v are integers and 2 d_v = D_v is one
-        self.rv = v.r.numerator
+        self.rv = sign * v.r.numerator
         self.cv = v.c.numerator
-        self.Dv = v.d.numerator * (2 // v.d.denominator)
+        self.Dv = sign * v.d.numerator * (2 // v.d.denominator)
         self.delta = self.cv * self.cv - self.rv * self.Dv  # integer discriminant
         # g1 = -2 c_v d_v + 6 r_v e_v and g0 = 4 d_v^2 - 6 c_v e_v over their
         # least common denominator g: g1 = G1 / g, g0 = G0 / g.
@@ -377,15 +379,12 @@ class _WallContext:
         G1 = 6 * self.rv * e_num - self.cv * self.Dv * e_den
         G0 = self.Dv * self.Dv * e_den - 6 * self.cv * e_num
         h = math.gcd(G0, G1, e_den)
-        self.G1, self.G0, self.delta_g = G1 // h, G0 // h, self.delta * (e_den // h)
-        # bmt_zero_circle(v): center -G1 / (2 delta_g), squared radius
-        # (G1^2 - 4 G0 delta_g) / (2 delta_g)^2.
-        self.bmt_center = self.bmt_radius_sq = None
-        if self.delta > 0 and self.G1 * self.G1 > 4 * self.G0 * self.delta_g:
-            self.bmt_center = Fraction(-self.G1, 2 * self.delta_g)
-            self.bmt_radius_sq = Fraction(
-                self.G1 * self.G1 - 4 * self.G0 * self.delta_g, 4 * self.delta_g * self.delta_g
-            )
+        G1, G0, dg = G1 // h, G0 // h, self.delta * (e_den // h)
+        self.G1, self.G0, self.delta_g = G1, G0, dg
+        # the zero circle: center -G1 / (2 dg), squared radius (G1^2 - 4 G0 dg) / (2 dg)^2
+        quarter = G1 * G1 - 4 * G0 * dg
+        self.zero_circle = (Circle(Fraction(-G1, 2 * dg), Fraction(quarter, 4 * dg * dg))
+                            if self.delta > 0 and quarter > 0 else None)
 
     @property
     def wall_free(self) -> bool:
@@ -405,8 +404,12 @@ class _WallContext:
 
     @cached_property
     def region_ints(self) -> tuple[int, int, int, int, int]:
-        """:func:`_region_ints` of the search region, read by the predicate."""
-        return _region_ints(self.region)
+        """:func:`_region_ints` of the search region, mirrored when ``sign = -1``,
+        read by the predicate."""
+        q, B_min, B_max, a_num, a_den = _region_ints(self.region)
+        if self.sign < 0:
+            B_min, B_max = -B_max, -B_min
+        return q, B_min, B_max, a_num, a_den
 
     @cached_property
     def mu(self) -> Fraction:
@@ -747,21 +750,22 @@ def _vacuity_radius_cap(ctx: _WallContext) -> Fraction:
     threshold; undershooting is harmless (the search merely inspects more
     ranks).
     """
-    if ctx.bmt_radius_sq is None:
+    zero = ctx.zero_circle
+    if zero is None:
         return Fraction(0)
-    gap0 = abs(ctx.hull_hi - ctx.bmt_center)  # |C(0) - C_B|, C(0) rounded up
+    gap0 = abs(ctx.hull_hi - zero.center)  # |C(0) - C_B|, C(0) rounded up
     if ctx.rv:
         base = Fraction(ctx.delta, ctx.rv * ctx.rv)
-        shift = ctx.mu - ctx.bmt_center
+        shift = ctx.mu - zero.center
 
     def certified(t: Fraction) -> bool:
         gap = max(gap0, abs(shift - _sqrt_bounds(base + t)[1])) if ctx.rv else gap0
         reach = gap + _sqrt_bounds(t)[1]
-        return reach * reach < ctx.bmt_radius_sq
+        return reach * reach < zero.radius_sq
 
     if not certified(Fraction(0)):
         return Fraction(0)
-    lo, hi = Fraction(0), ctx.bmt_radius_sq
+    lo, hi = Fraction(0), zero.radius_sq
     for _ in range(48):
         mid = (lo + hi) / 2
         if certified(mid):
@@ -849,7 +853,10 @@ def enumerate_tilt_walls(v: ChernCharacter, region: Region) -> list[WallCandidat
     A class of negative rank is searched as its derived dual
     ``ch(E^v[1]) = (-r, c, -d, e)`` over the region mirrored by ``beta -> -beta``,
     an exact symmetry of the predicate, and its walls are mapped back
-    (:func:`_mirror_wall`); the oracle takes no such step.
+    (:func:`_mirror_wall`); the oracle takes no such step.  The dual's
+    context is read from the caller's numerators with ``sign = -1``
+    (:class:`_WallContext`): no dual character, mirrored region or Fraction
+    is built for it, so its refusal is integer-only like any other.
 
     A class :attr:`_WallContext.wall_free` marks returns ``[]`` at once.
     Otherwise, when no vacuity disc exists the outside-rank loop has no
@@ -861,8 +868,7 @@ def enumerate_tilt_walls(v: ChernCharacter, region: Region) -> list[WallCandidat
     if ctx.wall_free:
         return []
     if ctx.rv < 0:
-        mirror = Region(-region.beta_max, -region.beta_min, region.alpha_sq_max)
-        return _build_walls(ctx, map(_mirror_wall, _derived_walls(_WallContext(-v.dual(), mirror))))
+        return _build_walls(ctx, map(_mirror_wall, _derived_walls(_WallContext(v, region, -1))))
     return _build_walls(ctx, _derived_walls(ctx))
 
 
@@ -895,7 +901,7 @@ def _derived_walls(ctx: _WallContext) -> set:
       cap at ``k = 0``, where ``g = r_v``.
     """
     # no zero circle: refused on the context's integers, with no Fraction
-    t_stop = None if ctx.bmt_radius_sq is None else _vacuity_radius_cap(ctx)
+    t_stop = None if ctx.zero_circle is None else _vacuity_radius_cap(ctx)
     if t_stop is None or t_stop <= 0:
         if ctx.rv == 0:
             reason = "cannot certify a finite search for this rank-zero class (no vacuity disc)"

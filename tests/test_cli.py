@@ -421,6 +421,20 @@ def test_reused_parser_recovers_after_usage_error(capsys):
     assert out.splitlines()[4].split() == ["-4", "4", "1,-2,2", "0,2,-8"]
 
 
+@pytest.mark.parametrize("s", ["0", "-1/2", "0/3", "-4"])
+def test_plot_nonpositive_s_is_usage_error(tmp_path, capsys, monkeypatch, s):
+    # the caption would record an s that BridgelandParams refuses
+    def search(*args):
+        raise AssertionError("s is refused before the search")
+
+    monkeypatch.setattr(plotting, "enumerate_tilt_walls", search)
+    target = tmp_path / "out.svg"
+    code, out, err = invoke(capsys, "plot", "--v", "1,0,-6,15", f"--s={s}", "--out", str(target))
+    assert (code, out) == (2, "")
+    assert "argument --s: invalid value" in err and "positive" in err
+    assert not target.exists()
+
+
 def test_plot_unwritable_path_is_domain_error(tmp_path, capsys):
     target = tmp_path / "missing" / "out.svg"
     code, out, err = invoke(capsys, "plot", "--v", "1,0,-6,15", "--out", str(target))

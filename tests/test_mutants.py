@@ -239,6 +239,13 @@ MUTANTS = [
     ("scan window shifted by one",
      "(2 * n * rv, r * (Dv * q - 2 * n * cv))", "(2 * n * rv, r * (Dv * q - 2 * n * cv) + rv * q)",
      ["scanned windows", "derived walls"]),
+    # the derived dual's context, read from the caller's numerators
+    ("dual's region edges left unmirrored",
+     "B_min, B_max = -B_max, -B_min", "B_min, B_max = B_min, B_max",
+     ["derived walls"]),
+    ("dual's D_v left unnegated",
+     "self.Dv = sign * v.d.numerator", "self.Dv = v.d.numerator",
+     ["derived walls"]),
     # one member per destabilizing pair
     ("middle ranks stop one short",
      "for k in range(ctx.rv // 2 + 1) if ctx.rv else ():",

@@ -721,12 +721,12 @@ FRACTION_WORK = (
 )
 
 
-@pytest.mark.parametrize("total", REFUSED_TOTALS, ids=str)
+@pytest.mark.parametrize("total", REFUSED_TOTALS + [-v.dual() for v in REFUSED_TOTALS], ids=str)
 def test_refusal_comes_before_any_scan(total, monkeypatch):
-    # These classes have no positivity zero circle, so the refusal is decided
-    # on integers: no rational circle and no square root bound is built, and
-    # once the class and the region exist no Fraction is built, computed on
-    # or compared.
+    # These classes and their derived duals have no positivity zero circle,
+    # so the refusal is decided on integers: no rational circle and no square
+    # root bound is built, and once the class and the region exist no
+    # Fraction is built, computed on or compared, for a negative rank either.
     def fail(what):
         def call(*args, **kwargs):
             raise AssertionError(f"{what} before the refusal")
@@ -756,23 +756,50 @@ def test_rank_zero_exits_are_decided_before_the_scan(monkeypatch):
     assert enumerate_tilt_walls(-REFUSED_TOTALS[2], REGION) == []
 
 
-@given(rational_totals())
+def _reference_zero_circle(v: ChernCharacter) -> Optional[Circle]:
+    """The zero circle of the positivity form on Fractions: ``Q`` vanishes
+    on the circle ``disc(v) (beta^2 + alpha^2) + g1 beta + g0 = 0``, with
+    ``g1 = -2 c d + 6 r e`` and ``g0 = 4 d^2 - 6 c e``."""
+    delta = v.discriminant()
+    if delta <= 0:
+        return None
+    g1 = -2 * v.c * v.d + 6 * v.r * v.e
+    g0 = 4 * v.d * v.d - 6 * v.c * v.e
+    center = -g1 / (2 * delta)
+    radius_sq = center * center - g0 / delta
+    if radius_sq <= 0:
+        return None
+    return Circle(center, radius_sq)
+
+
+@st.composite
+def off_lattice_totals(draw) -> ChernCharacter:
+    """Rational classes with small denominators, mostly off the lattice."""
+    return ChernCharacter(*(Fraction(draw(st.integers(-24, 24)), draw(st.integers(1, 6)))
+                            for _ in range(4)))
+
+
+@given(st.one_of(rational_totals(), off_lattice_totals()))
 @example(ChernCharacter(2, 0, 1, 0))  # disc(v) < 0
 @example(ChernCharacter(1, 0, 0, 0))  # disc(v) = 0
 @example(ChernCharacter(1, 0, -2, Fraction(8, 3)))  # G1^2 = 4 G0 delta_g: radius zero
 @example(ChernCharacter(1, 0, -2, Fraction(-8, 3)))
 @example(V)
+@example(Fraction(1, 3) * V)  # off the lattice, with V's circle
+@example(ChernCharacter(Fraction(1, 2), Fraction(-1, 3), Fraction(-5, 4), 2))
 @settings(max_examples=200, deadline=None)
 def test_zero_circle_of_the_context_matches_bmt_zero_circle(total):
+    # bmt_zero_circle reads an off-lattice class as a lattice multiple; the
+    # search reads the circle its context builds.  Both are the reference's.
+    circle = _reference_zero_circle(total)
+    assert bmt_zero_circle(total) == circle
+    if not total.is_lattice():
+        return
     ctx = walls_module._WallContext(total, REGION)
     # the integers the context reads from numerators and denominators
     assert (ctx.rv, ctx.cv, ctx.Dv) == (int(total.r), int(total.c), int(2 * total.d))
     assert type(ctx.rv) is type(ctx.cv) is type(ctx.Dv) is int
-    circle = bmt_zero_circle(total)
-    if circle is None:
-        assert ctx.bmt_center is None and ctx.bmt_radius_sq is None
-    else:
-        assert (ctx.bmt_center, ctx.bmt_radius_sq) == (circle.center, circle.radius_sq)
+    assert ctx.zero_circle == circle
 
 
 def _walls_as_set(total: ChernCharacter, region: Region):
@@ -1019,7 +1046,8 @@ def _reference_vacuity_cap(ctx: walls_module._WallContext) -> Fraction:
     """The vacuity cap as it stood before the center hull: each bisection step
     retries a 32/64/192-bit ladder, taking both roundings of ``C(0)`` and
     ``C(t)`` as four separate endpoints."""
-    if ctx.bmt_radius_sq is None:
+    zero = ctx.zero_circle
+    if zero is None:
         return Fraction(0)
 
     def certified(t: Fraction) -> bool:
@@ -1031,21 +1059,21 @@ def _reference_vacuity_cap(ctx: walls_module._WallContext) -> Fraction:
                     base = Fraction(ctx.delta, ctx.rv * ctx.rv)
                     lo, hi = _reference_sqrt_bounds(base + tt, bits)
                     if ctx.rv > 0:
-                        ends = (mu - hi - ctx.bmt_center, mu - lo - ctx.bmt_center)
+                        ends = (mu - hi - zero.center, mu - lo - zero.center)
                     else:
-                        ends = (mu + lo - ctx.bmt_center, mu + hi - ctx.bmt_center)
+                        ends = (mu + lo - zero.center, mu + hi - zero.center)
                 else:
-                    fixed = Fraction(ctx.Dv, 2 * ctx.cv) - ctx.bmt_center
+                    fixed = Fraction(ctx.Dv, 2 * ctx.cv) - zero.center
                     ends = (fixed, fixed)
                 worst = max(worst, abs(ends[0]), abs(ends[1]))
             reach = worst + _reference_sqrt_bounds(t, bits)[1]
-            if reach * reach < ctx.bmt_radius_sq:
+            if reach * reach < zero.radius_sq:
                 return True
         return False
 
     if not certified(Fraction(0)):
         return Fraction(0)
-    lo, hi = Fraction(0), ctx.bmt_radius_sq
+    lo, hi = Fraction(0), zero.radius_sq
     for _ in range(48):
         mid = (lo + hi) / 2
         if certified(mid):
@@ -1251,6 +1279,30 @@ SIGNED_TOTALS = [
     ChernCharacter(0, 5, Fraction(-5, 2), Fraction(5, 6)),
     ChernCharacter(0, 1, Fraction(-1, 2), Fraction(1, 6)),
 ]
+
+
+def _assert_dual_context_matches(total: ChernCharacter, region: Region) -> None:
+    # The context read from the caller's numerators with sign -1 is the
+    # derived dual's over the mirrored region, built from Fractions: for a
+    # negative rank, that of the class and region the search runs on
+    # (_canonical).  Its zero circle is the caller's, reflected.
+    dual = walls_module._WallContext(total, region, -1)
+    expected = walls_module._WallContext(_dual(total), _mirror(region))
+    fields = ("rv", "cv", "Dv", "delta", "G1", "G0", "delta_g", "region_ints", "zero_circle")
+    assert [getattr(dual, f) for f in fields] == [getattr(expected, f) for f in fields]
+    circle = walls_module._WallContext(total, region).zero_circle
+    assert dual.zero_circle == (circle and Circle(-circle.center, circle.radius_sq))
+
+
+@given(rational_totals().filter(lambda v: v.r < 0), regions())
+@settings(max_examples=100, deadline=None)
+def test_dual_context_matches_the_canonical_context(total, region):
+    _assert_dual_context_matches(total, region)
+
+
+@pytest.mark.parametrize("total", SIGNED_TOTALS, ids=str)
+def test_dual_context_matches_the_canonical_context_on_signed_totals(total):
+    _assert_dual_context_matches(total, Region(-100, Fraction(7, 3), 10000))
 
 
 @pytest.mark.parametrize("total", DIFFERENTIAL_TOTALS, ids=str)
